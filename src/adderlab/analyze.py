@@ -40,18 +40,7 @@ def area(nl: Netlist, lib: CellLibrary) -> float:
 
 def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
     """Load on a net: sink pin caps, plus the output load if observable."""
-    c = 0.0
-    for gid in nl.readers.get(nid, ()):
-        g = nl.gates[gid]
-        per_pin = lib.cell(g.kind).input_cap_ff
-        c += per_pin * sum(1 for x in g.inputs if x == nid)
-    if nid in _output_set(nl):
-        c += lib.output_load_ff
-    return c
-
-
-def _output_set(nl: Netlist) -> frozenset[int]:
-    return frozenset(nl.primary_outputs())
+    return _net_caps(nl, lib)[nid]
 
 
 def _net_caps(nl: Netlist, lib: CellLibrary) -> list[float]:

@@ -25,6 +25,7 @@ from .errors import AdderLabError, InvalidWidth, ParseError
 from .generate import compose
 from .netio import from_text, to_text, to_verilog
 from .simulate import (
+    _EXHAUSTIVE_LIMIT,
     random_vectors,
     dump_trace,
     verify_exhaustive_netlist,
@@ -34,8 +35,6 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-_EXHAUSTIVE_DEFAULT_LIMIT = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +101,7 @@ def cmd_verify(args) -> int:
     if args.width is not None and args.width != nl.width:
         raise InvalidWidth(f"netlist is {nl.width} bits wide, expected {args.width}")
 
-    exhaustive = args.exhaustive or nl.width <= _EXHAUSTIVE_DEFAULT_LIMIT
+    exhaustive = args.exhaustive or nl.width <= _EXHAUSTIVE_LIMIT
     if exhaustive:
         bad = verify_exhaustive_netlist(nl)
         how = f"exhaustive, {1 << (2 * nl.width + 1)} rows"
@@ -230,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exhaustive",
         action="store_true",
-        help=f"force exhaustive mode (automatic at width <= {_EXHAUSTIVE_DEFAULT_LIMIT})",
+        help=f"require an exhaustive check; automatic at width <= {_EXHAUSTIVE_LIMIT}, "
+        "an error above it",
     )
     p.set_defaults(func=cmd_verify)
 

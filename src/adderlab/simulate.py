@@ -20,9 +20,11 @@ nwords = ceil((2*width + 1) / 64). The words are concatenated first
 word most significant, and the top 2*width+1 bits are sliced MSB-first
 into a (width bits), then b (width bits), then cin (1 bit).
 
-Internally, batches of vectors are evaluated bit-parallel: one Python
-integer per net holds that net's value across every vector in the
-batch, so a gate evaluation is a single wide bitwise operation.
+Input rows (from the stream, from caller vectors, or every input
+combination) are packed ``_BATCH`` at a time into one Python integer per
+primary input net, bit r holding row r, so a gate evaluation is a single
+wide bitwise operation. Checks compare against a bit-parallel
+ripple-carry oracle over the same columns and report the lowest bad row.
 """
 
 from __future__ import annotations
@@ -63,22 +65,67 @@ class InputVector:
     cin: int
 
 
+def _stream_rows(width: int, start: int, count: int, seed: int) -> np.ndarray:
+    """Stream vectors start .. start+count-1 as rows of big-endian bytes."""
+    # prng_word in uint64 arrays, which wrap silently; numpy scalars would warn
+    nwords = -(-(2 * width + 1) // 64)
+    k = np.arange(start * nwords + 1, (start + count) * nwords + 1, dtype=np.uint64)
+    z = k * np.uint64(GOLDEN_GAMMA) + np.uint64(seed & _M64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_MUL_1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_MUL_2)
+    z ^= z >> np.uint64(31)
+    return z.astype(">u8").view(np.uint8).reshape(count, 8 * nwords)
+
+
 def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
     """The first ``count`` vectors of the documented stream for this width."""
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
-    nbits = 2 * width + 1
-    nwords = -(-nbits // 64)
-    spare = 64 * nwords - nbits
+    rows = _stream_rows(width, 0, max(count, 0), seed)
+    step = rows.shape[1]
+    spare = 8 * step - (2 * width + 1)
     mask = (1 << width) - 1
+    raw = rows.tobytes()
     out: list[InputVector] = []
-    for v in range(count):
-        big = 0
-        for j in range(nwords):
-            big = (big << 64) | prng_word(seed, v * nwords + 1 + j)
-        top = big >> spare
+    for at in range(0, len(raw), step):
+        top = int.from_bytes(raw[at : at + step], "big") >> spare
         out.append(InputVector(a=top >> (width + 1), b=(top >> 1) & mask, cin=top & 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Input rows and packed columns
+# ---------------------------------------------------------------------------
+
+
+def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
+    """Caller vectors as rows of big-endian bytes, bit-aligned like the stream."""
+    nbits = 2 * width + 1
+    nbytes = -(-nbits // 8)
+    pad = 8 * nbytes - nbits
+    raw = bytearray()
+    for v in vectors:
+        _check_vector(width, v)
+        raw += (((v.a << (width + 1)) | (v.b << 1) | v.cin) << pad).to_bytes(nbytes, "big")
+    return np.frombuffer(bytes(raw), dtype=np.uint8).reshape(len(vectors), nbytes)
+
+
+def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:
+    """Rows led by a, b (each MSB first) and cin -> packed column per primary
+    input net. Bits are unpacked ~512 KB at a time, a block the allocator
+    reuses, instead of faulting in a fresh rows x bits matrix per batch."""
+    w = nl.width
+    nbits = 2 * w + 1
+    step = 8 * max(1, (1 << 16) // nbits)
+    packed = np.empty((-(-len(rows) // 8), nbits), dtype=np.uint8)
+    for at in range(0, len(rows), step):
+        bits = np.unpackbits(rows[at : at + step], axis=1, count=nbits)
+        packed[at // 8 : (at + step) // 8] = np.packbits(bits, axis=0, bitorder="little")
+    pi_order = np.r_[w - 1 : -1 : -1, 2 * w - 1 : w - 1 : -1, 2 * w]
+    return {
+        nid: int.from_bytes(col.tobytes(), "little")
+        for nid, col in zip(nl.primary_inputs(), packed.T[pi_order])
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +185,20 @@ def evaluate(nl: Netlist, vector: InputVector) -> tuple[int, int, list[int]]:
     return s, values[nl.cout], values
 
 
-def _pack_columns(values: list[int], nbits: int) -> list[int]:
-    """Per-row integers -> per-bit column bitvectors (bit r = row r)."""
-    n = len(values)
-    if nbits <= 63:
-        arr = np.fromiter(values, dtype=np.uint64, count=n)
-        shifts = np.arange(nbits, dtype=np.uint64)
-        bits = ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-        packed = np.packbits(bits, axis=0, bitorder="little")
-        return [int.from_bytes(packed[:, i].tobytes(), "little") for i in range(nbits)]
-    cols = [0] * nbits
-    for r, v in enumerate(values):
-        for i in range(nbits):
-            if (v >> i) & 1:
-                cols[i] |= 1 << r
-    return cols
+_BATCH = 1 << 16
 
 
-def _pi_columns(nl: Netlist, vectors: list[InputVector]) -> dict[int, int]:
-    cols: dict[int, int] = {}
-    a_cols = _pack_columns([v.a for v in vectors], nl.width)
-    b_cols = _pack_columns([v.b for v in vectors], nl.width)
-    cin_col = _pack_columns([v.cin for v in vectors], 1)[0]
-    for i, nid in enumerate(nl.a):
-        cols[nid] = a_cols[i]
-    for i, nid in enumerate(nl.b):
-        cols[nid] = b_cols[i]
-    cols[nl.cin] = cin_col
-    return cols
+def _vector_batches(nl: Netlist, vectors: list[InputVector], order: tuple[int, ...]):
+    """Evaluate caller vectors ``_BATCH`` at a time; yields (rows, values per net)."""
+    for at in range(0, len(vectors), _BATCH):
+        batch = vectors[at : at + _BATCH]
+        cols = _pack(nl, _vector_rows(nl.width, batch))
+        yield len(batch), _eval_packed(nl, cols, len(batch), order)
 
 
 # ---------------------------------------------------------------------------
 # Toggle collection
 # ---------------------------------------------------------------------------
-
-_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -194,15 +220,9 @@ def collect_toggles(
     """Count settled-value transitions per net across the given stream."""
     if len(vectors) < 2:
         raise InsufficientVectors(f"need at least 2 vectors, got {len(vectors)}")
-    for v in vectors:
-        _check_vector(nl.width, v)
-    order = topo_order(nl)
     toggles = [0] * len(nl.nets)
     prev_bits: list[int] | None = None
-    for at in range(0, len(vectors), _BATCH):
-        batch = vectors[at : at + _BATCH]
-        n = len(batch)
-        values = _eval_packed(nl, _pi_columns(nl, batch), n, order)
+    for n, values in _vector_batches(nl, vectors, topo_order(nl)):
         inner = (1 << (n - 1)) - 1
         for nid, col in enumerate(values):
             t = ((col ^ (col >> 1)) & inner).bit_count()
@@ -228,9 +248,16 @@ def run_vectors(
 
 def dump_trace(nl: Netlist, vectors: list[InputVector], fh) -> None:
     """Write one line per vector: net values as 0/1 digits in net-id order."""
-    for v in vectors:
-        _, _, values = evaluate(nl, v)
-        fh.write("".join(str(bit) for bit in values) + "\n")
+    nnets = len(nl.nets)
+    for n, values in _vector_batches(nl, vectors, topo_order(nl)):
+        nbytes = -(-n // 8)
+        packed = b"".join(col.to_bytes(nbytes, "little") for col in values)
+        cols = np.frombuffer(packed, dtype=np.uint8).reshape(nnets, nbytes)
+        text = np.empty((n, nnets + 1), dtype=np.uint8)
+        text[:, :nnets] = np.unpackbits(cols, axis=1, count=n, bitorder="little").T
+        text[:, :nnets] += ord("0")
+        text[:, nnets] = ord("\n")
+        fh.write(text.tobytes().decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -257,36 +284,33 @@ class Counterexample:
         )
 
 
-def _first_mismatch_row(diff: int) -> int:
-    return (diff & -diff).bit_length() - 1
-
-
-def _compare_batch(
-    nl: Netlist,
-    vectors: list[InputVector],
-    values: list[int],
-    oracle_sum_cols: list[int],
-    oracle_cout_col: int,
+def _first_mismatch(
+    nl: Netlist, cols: dict[int, int], nrows: int, order: tuple[int, ...]
 ) -> Counterexample | None:
+    """Evaluate packed input columns; the lowest row that is not a + b + cin."""
+    values = _eval_packed(nl, cols, nrows, order)
+    carry = cols[nl.cin]
     diff = 0
-    for i, nid in enumerate(nl.sums):
-        diff |= values[nid] ^ oracle_sum_cols[i]
-    diff |= values[nl.cout] ^ oracle_cout_col
+    for a, b, s in zip(nl.a, nl.b, nl.sums):
+        x, y = cols[a], cols[b]
+        diff |= values[s] ^ x ^ y ^ carry
+        carry = (x & y) | (carry & (x ^ y))
+    diff |= values[nl.cout] ^ carry
     if diff == 0:
         return None
-    r = _first_mismatch_row(diff)
-    got_sum = 0
-    for i, nid in enumerate(nl.sums):
-        got_sum |= ((values[nid] >> r) & 1) << i
-    got_cout = (values[nl.cout] >> r) & 1
-    v = vectors[r]
+    r = (diff & -diff).bit_length() - 1
+
+    def row(nets: tuple[int, ...]) -> int:
+        return sum(((values[nid] >> r) & 1) << i for i, nid in enumerate(nets))
+
+    v = InputVector(a=row(nl.a), b=row(nl.b), cin=(values[nl.cin] >> r) & 1)
     total = v.a + v.b + v.cin
     return Counterexample(
         vector=v,
         expected_sum=total & ((1 << nl.width) - 1),
         expected_cout=total >> nl.width,
-        got_sum=got_sum,
-        got_cout=got_cout,
+        got_sum=row(nl.sums),
+        got_cout=(values[nl.cout] >> r) & 1,
     )
 
 
@@ -296,16 +320,12 @@ def verify_random(nl: Netlist, count: int = 100000, seed: int = 1) -> Counterexa
     Returns None when every vector matches, otherwise the first
     counterexample in stream order.
     """
+    if count < 1:
+        raise InsufficientVectors(f"need at least 1 vector, got {count}")
     order = topo_order(nl)
-    vectors = random_vectors(nl.width, count, seed)
     for at in range(0, count, _BATCH):
-        batch = vectors[at : at + _BATCH]
-        values = _eval_packed(nl, _pi_columns(nl, batch), len(batch), order)
-        sums = [v.a + v.b + v.cin for v in batch]
-        mask = (1 << nl.width) - 1
-        oracle_cols = _pack_columns([s & mask for s in sums], nl.width)
-        cout_col = _pack_columns([s >> nl.width for s in sums], 1)[0]
-        bad = _compare_batch(nl, batch, values, oracle_cols, cout_col)
+        n = min(_BATCH, count - at)
+        bad = _first_mismatch(nl, _pack(nl, _stream_rows(nl.width, at, n, seed)), n, order)
         if bad is not None:
             return bad
     return None
@@ -348,41 +368,18 @@ def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:
         raise InvalidWidth(
             f"exhaustive verification is limited to {_EXHAUSTIVE_LIMIT} bits, got {w}"
         )
-    nrows = 1 << (2 * w + 1)
-    cols: dict[int, int] = {}
-    for i, nid in enumerate(nl.a):
-        cols[nid] = _pattern_column(i, nrows)
-    for i, nid in enumerate(nl.b):
-        cols[nid] = _pattern_column(w + i, nrows)
-    cols[nl.cin] = _pattern_column(2 * w, nrows)
-    values = _eval_packed(nl, cols, nrows)
-
-    rows = np.arange(nrows, dtype=np.uint32)
-    mask = np.uint32((1 << w) - 1)
-    totals = (rows & mask) + ((rows >> np.uint32(w)) & mask) + (rows >> np.uint32(2 * w))
-    diff = 0
-    oracle_cols: list[int] = []
-    for i in range(w):
-        bits = ((totals >> np.uint32(i)) & np.uint32(1)).astype(np.uint8)
-        col = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        oracle_cols.append(col)
-        diff |= values[nl.sums[i]] ^ col
-    bits = ((totals >> np.uint32(w)) & np.uint32(1)).astype(np.uint8)
-    cout_col = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    diff |= values[nl.cout] ^ cout_col
-    if diff == 0:
-        return None
-    r = _first_mismatch_row(diff)
-    m = (1 << w) - 1
-    v = InputVector(a=r & m, b=(r >> w) & m, cin=r >> (2 * w))
-    got_sum = 0
-    for i, nid in enumerate(nl.sums):
-        got_sum |= ((values[nid] >> r) & 1) << i
-    total = v.a + v.b + v.cin
-    return Counterexample(
-        vector=v,
-        expected_sum=total & m,
-        expected_cout=total >> w,
-        got_sum=got_sum,
-        got_cout=(values[nl.cout] >> r) & 1,
-    )
+    pis = nl.primary_inputs()
+    # row r = (cin, b, a) bits; within a chunk the high row bits are constant
+    low = min(len(pis), _BATCH.bit_length() - 1)
+    nrows = 1 << low
+    pattern = [_pattern_column(bit, nrows) for bit in range(low)]
+    ones = (1 << nrows) - 1
+    order = topo_order(nl)
+    for chunk in range(1 << (len(pis) - low)):
+        cols = dict(zip(pis, pattern))
+        for j, nid in enumerate(pis[low:]):
+            cols[nid] = ones if (chunk >> j) & 1 else 0
+        bad = _first_mismatch(nl, cols, nrows, order)
+        if bad is not None:
+            return bad
+    return None

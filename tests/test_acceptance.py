@@ -10,7 +10,7 @@ section-carry block saves 40-59% of the carry-cone gates but the cone is
 only a fraction of the block, so whole-block area shrinks by well under
 25% (and at width 2 the two blocks are structurally identical). The
 test states the full claim anyway and reports the measured numbers; see
-README "Scope and honesty" and scripts/block_survey.py.
+README "Tests" and scripts/block_survey.py.
 """
 
 import random

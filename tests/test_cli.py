@@ -66,11 +66,23 @@ def test_verify_small_width_goes_exhaustive(capsys):
     assert main(["verify", "--arch", "rca:4"]) == 0
     out = capsys.readouterr().out
     assert "exhaustive, 512 rows" in out
+    assert main(["verify", "--arch", "rca:5,ccla:6"]) == 0
+    assert "exhaustive, 8388608 rows" in capsys.readouterr().out
 
 
 def test_verify_exhaustive_flag(capsys):
     assert main(["verify", "--arch", "scbcla:3,rca:2", "--exhaustive"]) == 0
     assert "exhaustive, 2048 rows" in capsys.readouterr().out
+    assert main(["verify", "--arch", "rca:13", "--exhaustive"]) == 1
+    assert "InvalidWidth" in capsys.readouterr().err
+
+
+def test_verify_rejects_vacuous_vector_counts(capsys):
+    for count in ("0", "-5"):
+        assert main(["verify", "--preset", "design1", "--vectors", count]) == 1
+        captured = capsys.readouterr()
+        assert "InsufficientVectors" in captured.err
+        assert "ok" not in captured.out
 
 
 def test_verify_width_cross_check(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import adderlab.simulate as simulate
 from adderlab import (
+    Counterexample,
     InputVector,
     PRESETS,
     ToggleStats,
@@ -71,6 +72,27 @@ def test_random_vectors_concatenate_words_for_wide_operands():
     assert v.cin == (bits >> (128 - 81)) & 1
 
 
+def stream_reference(width, count, seed):
+    """The documented stream, one prng_word at a time."""
+    nbits = 2 * width + 1
+    nwords = -(-nbits // 64)
+    out = []
+    for v in range(count):
+        big = 0
+        for j in range(nwords):
+            big = (big << 64) | prng_word(seed, v * nwords + 1 + j)
+        top = big >> (64 * nwords - nbits)
+        mask = (1 << width) - 1
+        out.append(InputVector(a=top >> (width + 1), b=(top >> 1) & mask, cin=top & 1))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 63) + 5, -7])
+@pytest.mark.parametrize("width", [1, 31, 32, 63, 64, 1024])
+def test_random_vectors_match_prng_word_reference(width, seed):
+    assert random_vectors(width, 5, seed) == stream_reference(width, 5, seed)
+
+
 def test_random_vectors_in_range_and_deterministic():
     vecs = random_vectors(7, 200, seed=11)
     assert vecs == random_vectors(7, 200, seed=11)
@@ -115,7 +137,7 @@ def naive_toggles(nl, vectors):
     return tuple(counts)
 
 
-_POOL = ["rca:3", "ccla:3", "scbcla:2,rca:1", "rca:1,scbcla:2", "ccla:2,rca:2"]
+_POOL = ["rca:3", "ccla:3", "scbcla:2,rca:1", "rca:1,scbcla:2", "ccla:2,rca:2", "rca:65"]
 _POOL_WIDTH = {s: compose(s).width for s in _POOL}
 
 
@@ -179,6 +201,9 @@ def test_too_few_vectors_rejected():
         collect_toggles(nl, [InputVector(0, 0, 0)])
     with pytest.raises(InsufficientVectors):
         run_vectors(nl, count=1)
+    for count in (0, -5):
+        with pytest.raises(InsufficientVectors):
+            verify_random(nl, count=count)
 
 
 def test_run_vectors_is_seed_deterministic():
@@ -198,17 +223,20 @@ def test_primary_input_activity_is_design_independent():
     assert d1.per_net_toggles[:pi] == d4.per_net_toggles[:pi]
 
 
-def test_dump_trace_one_line_per_vector():
+def test_dump_trace_one_line_per_vector(monkeypatch):
+    # shrink the batch size so the trace spans several batches
+    monkeypatch.setattr(simulate, "_BATCH", 8)
     nl = compose("rca:2")
-    vectors = random_vectors(2, 3, seed=1)
+    vectors = random_vectors(2, 20, seed=1)
     buf = io.StringIO()
     dump_trace(nl, vectors, buf)
     lines = buf.getvalue().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 20
     assert all(len(line) == len(nl.nets) for line in lines)
     assert set("".join(lines)) <= {"0", "1"}
-    _, _, values = evaluate(nl, vectors[0])
-    assert lines[0] == "".join(str(v) for v in values)
+    for line, v in zip(lines, vectors):
+        _, _, values = evaluate(nl, v)
+        assert line == "".join(str(bit) for bit in values)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +260,51 @@ def test_verify_random_finds_probable_corruption():
     assert (got_sum, got_cout) == (ce.got_sum, ce.got_cout)
     assert (ce.got_sum, ce.got_cout) != (ce.expected_sum, ce.expected_cout)
     assert "expected" in str(ce) and hex(ce.vector.a) in str(ce)
+
+
+def first_mismatch_scan(nl, vectors):
+    """Reference: (index, Counterexample) of the first vector evaluate gets wrong."""
+    mask = (1 << nl.width) - 1
+    for i, v in enumerate(vectors):
+        total = v.a + v.b + v.cin
+        got_sum, got_cout, _ = evaluate(nl, v)
+        if (got_sum, got_cout) != (total & mask, total >> nl.width):
+            return i, Counterexample(v, total & mask, total >> nl.width, got_sum, got_cout)
+    return None, None
+
+
+def test_counterexamples_match_a_vector_at_a_time_scan(monkeypatch):
+    # with 8-row batches, some first mismatches lie past a batch seam
+    monkeypatch.setattr(simulate, "_BATCH", 8)
+    nl = compose("ccla:2,rca:2")
+    w, mask = nl.width, (1 << nl.width) - 1
+    rows = [InputVector(r & mask, (r >> w) & mask, r >> (2 * w)) for r in range(1 << (2 * w + 1))]
+    stream = random_vectors(w, 64, seed=3)
+    row_at, stream_at = [], []
+    for gid in flippable_gates(nl):
+        bad = flip_gate_kind(nl, gid)
+        at, expected = first_mismatch_scan(bad, rows)
+        assert verify_exhaustive_netlist(bad) == expected
+        row_at.append(at or 0)
+        at, expected = first_mismatch_scan(bad, stream)
+        assert verify_random(bad, count=len(stream), seed=3) == expected
+        stream_at.append(at or 0)
+    assert max(row_at) >= 8 and max(stream_at) >= 8
+
+
+def test_pack_columns_hold_every_row_across_unpack_slices():
+    # at width 1024 the packer unpacks 248 rows per slice; 501 rows end mid-byte
+    nl = compose("rca:1024")
+    vecs = random_vectors(1024, 501, seed=5)
+    cols = simulate._pack(nl, simulate._stream_rows(1024, 0, len(vecs), 5))
+
+    def column(values, bit):
+        return sum(((x >> bit) & 1) << r for r, x in enumerate(values))
+
+    for i in (0, 1, 7, 8, 511, 1023):
+        assert cols[nl.a[i]] == column([v.a for v in vecs], i)
+        assert cols[nl.b[i]] == column([v.b for v in vecs], i)
+    assert cols[nl.cin] == column([v.cin for v in vecs], 0)
 
 
 def test_verify_exhaustive_covers_every_input():
