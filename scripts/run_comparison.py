@@ -1,87 +1,47 @@
 #!/usr/bin/env python3
 """Rank the bundled 32-bit presets by figure of merit.
 
-Simulates every preset with one shared seeded vector stream, ranks the
-results, and (when data/table1.csv is present) prints the ranking
-computed from those externally measured reference rows next to it. The
-two orderings come from different cell libraries, so only the relative
-story is comparable.
+Runs ``adderlab compare`` on the presets (one shared seeded vector
+stream) and, when data/table1.csv is present, ``adderlab compare
+--table1`` on those externally measured reference rows. The two
+orderings come from different cell libraries, so only the relative
+story is comparable. Bad input exits 1 with the CLI's named error.
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from adderlab import (
-    analyze_design,
-    compare,
-    comparison_csv,
-    default_library,
-    format_comparison,
-    load_library,
-    metrics_report,
-    preset,
-)
+from adderlab.cli import main as adderlab
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DESIGNS = ["design1", "design2", "design3", "design4", "design5", "design6"]
-
-
-def reference_reports(path: Path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            metrics_report(
-                row["design"],
-                float(row["power_uw"]),
-                float(row["delay_ns"]),
-                float(row["area_um2"]),
-            )
-            for row in csv.DictReader(fh)
-        ]
+TABLE1 = Path(__file__).resolve().parent.parent / "data" / "table1.csv"
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--designs", default=",".join(DESIGNS), help="comma-separated preset names")
+    ap.add_argument("--designs", default="design1..design6", help="comma list or range of presets")
     ap.add_argument("--vectors", type=int, default=1024)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--interval-ns", type=float, default=5.0)
     ap.add_argument("--lib", help="cell library JSON (default: bundled synthetic library)")
     ap.add_argument("--out", help="write the simulated ranking as CSV")
-    ap.add_argument(
-        "--table1",
-        default=str(REPO_ROOT / "data" / "table1.csv"),
-        help="reference metrics CSV (skipped if missing)",
-    )
+    ap.add_argument("--table1", default=str(TABLE1), help="reference CSV (skipped if missing)")
     args = ap.parse_args(argv)
 
-    lib = load_library(args.lib) if args.lib else default_library()
-    names = [n.strip() for n in args.designs.split(",") if n.strip()]
-    reports = [
-        analyze_design(
-            name,
-            preset(name),
-            lib,
-            vectors=args.vectors,
-            seed=args.seed,
-            interval_ns=args.interval_ns,
-        )
-        for name in names
-    ]
-    result = compare(reports)
-    print(f"simulated ranking ({lib.name}, {args.vectors} vectors, seed {args.seed})")
-    print(format_comparison(result), end="")
+    cmd = ["compare", "--presets", args.designs, "--vectors", str(args.vectors)]
+    cmd += ["--seed", str(args.seed), "--interval-ns", str(args.interval_ns)]
+    cmd += (["--lib", args.lib] if args.lib else []) + (["--out", args.out] if args.out else [])
+    lib = args.lib or "bundled library"
+    print(f"simulated ranking ({lib}, {args.vectors} vectors, seed {args.seed})")
+    rc = adderlab(cmd)
+    if rc:
+        return rc
     if args.out:
-        Path(args.out).write_text(comparison_csv(result), encoding="utf-8")
         print(f"wrote {args.out}")
-
-    table = Path(args.table1)
-    if table.is_file():
-        print()
-        print(f"reference ranking ({table})")
-        print(format_comparison(compare(reference_reports(table))), end="")
-    return 0
+    if not Path(args.table1).is_file():
+        return 0
+    print(f"\nreference ranking ({args.table1})")
+    return adderlab(["compare", "--table1", args.table1])
 
 
 if __name__ == "__main__":

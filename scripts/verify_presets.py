@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Verification sweep over every preset and all small homogeneous blocks.
 
-Presets (32-bit) run against seeded random vectors; widths that fit the
-exhaustive checker are enumerated completely. Exits 1 on any mismatch.
+Runs ``adderlab verify`` on each preset (32-bit, seeded random vectors)
+and ``adderlab verify --exhaustive`` on every rca, ccla and scbcla block
+up to ``--max-width`` (at most 12). Exits 1 if any check fails or errors.
 """
 
 import argparse
 import sys
 
-from adderlab import PRESETS, compose, verify_exhaustive_netlist, verify_random
+from adderlab import PRESETS
+from adderlab.cli import main as adderlab
 
 
 def main(argv=None) -> int:
@@ -18,27 +20,18 @@ def main(argv=None) -> int:
     ap.add_argument("--max-width", type=int, default=10, help="exhaustive sweep upper bound")
     args = ap.parse_args(argv)
 
-    failures = 0
-    for name in sorted(PRESETS):
-        ce = verify_random(compose(PRESETS[name]), count=args.vectors, seed=args.seed)
-        if ce is None:
-            print(f"{name}: ok ({args.vectors} vectors, seed {args.seed})")
-        else:
-            print(f"{name}: MISMATCH {ce}")
-            failures += 1
-
+    runs = [
+        ["verify", "--preset", name, "--vectors", str(args.vectors), "--seed", str(args.seed)]
+        for name in sorted(PRESETS)
+    ]
     for kind, lo in (("rca", 1), ("ccla", 2), ("scbcla", 2)):
-        for width in range(lo, args.max_width + 1):
-            spec = f"{kind}:{width}"
-            ce = verify_exhaustive_netlist(compose(spec))
-            if ce is None:
-                print(f"{spec}: ok (exhaustive, {1 << (2 * width + 1)} rows)")
-            else:
-                print(f"{spec}: MISMATCH {ce}")
-                failures += 1
-
+        runs += [
+            ["verify", "--arch", f"{kind}:{w}", "--exhaustive"]
+            for w in range(lo, args.max_width + 1)
+        ]
+    failures = sum(adderlab(cmd) != 0 for cmd in runs)
     if failures:
-        print(f"{failures} mismatch(es)", file=sys.stderr)
+        print(f"{failures} failed check(s)", file=sys.stderr)
         return 1
     return 0
 

@@ -23,7 +23,7 @@ from .arch import ArchitectureSpec, PRESETS, parse_arch_spec, preset
 from .cells import default_library, load_library
 from .errors import AdderLabError, InvalidWidth, ParseError
 from .generate import compose
-from .netio import from_text, to_text, to_verilog
+from .netio import read_text, to_text, to_verilog
 from .simulate import (
     _EXHAUSTIVE_LIMIT,
     random_vectors,
@@ -60,10 +60,15 @@ def _resolve_spec(args) -> tuple[str, ArchitectureSpec]:
     return spec.to_string(), spec
 
 
+def _add_sim_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lib", metavar="PATH", help="cell library JSON (default: bundled)")
+    p.add_argument("--vectors", type=int, default=1024)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--interval-ns", type=float, default=5.0)
+
+
 def _resolve_lib(args):
-    if getattr(args, "lib", None):
-        return load_library(args.lib)
-    return default_library()
+    return load_library(args.lib) if args.lib else default_library()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -92,8 +97,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.from_file:
-        with open(args.from_file, "r", encoding="utf-8") as fh:
-            nl = from_text(fh.read())
+        nl = read_text(args.from_file)
         label = args.from_file
     else:
         label, spec = _resolve_spec(args)
@@ -197,8 +201,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    with open(args.from_file, "r", encoding="utf-8") as fh:
-        nl = from_text(fh.read())
+    nl = read_text(args.from_file)
     if args.verilog:
         module = args.module or f"adder{nl.width}"
         _emit(to_verilog(nl, module), args.out)
@@ -236,10 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="measure power/delay/area and figure of merit")
     _add_spec_options(p)
-    p.add_argument("--lib", metavar="PATH", help="cell library JSON (default: bundled)")
-    p.add_argument("--vectors", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--interval-ns", type=float, default=5.0)
+    _add_sim_options(p)
     p.add_argument("--out", metavar="PATH", help="report path (default stdout)")
     p.add_argument("--trace", metavar="PATH", help="also dump per-vector net values")
     p.set_defaults(func=cmd_analyze)
@@ -256,10 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CSV",
         help="rank externally measured rows (design,power_uw,delay_ns,area_um2) without simulating",
     )
-    p.add_argument("--lib", metavar="PATH")
-    p.add_argument("--vectors", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--interval-ns", type=float, default=5.0)
+    _add_sim_options(p)
     p.add_argument("--out", metavar="PATH", help="also write the ranking as CSV")
     p.set_defaults(func=cmd_compare)
 

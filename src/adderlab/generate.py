@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import ArchitectureSpec, BlockKind, BlockSpec, coerce_arch
+from .arch import ArchitectureSpec, BlockKind, coerce_arch
 from .errors import InvalidBlockWidth
 from .netlist import CellKind, Netlist, NetlistBuilder, new_netlist
 
@@ -300,10 +300,3 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
         carry = result.cout
         offset = hi
     return b.finish(sums, cout=carry, carries=exposed)
-
-
-def block_netlist(kind: BlockKind | str, width: int) -> Netlist:
-    """A standalone single-section adder, handy for section-level study."""
-    if isinstance(kind, str):
-        kind = BlockKind(kind.lower())
-    return compose(ArchitectureSpec((BlockSpec(kind, width),)))

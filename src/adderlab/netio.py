@@ -135,6 +135,10 @@ def from_text(text: str) -> Netlist:
         last_k = k
         if tok not in by_name:
             raise ParseError(f"output net {tok!r} is never driven", line=outputs_lineno)
+        if k >= width:
+            raise ParseError(
+                f"carry output {tok!r} is not below the width {width}", line=outputs_lineno
+            )
         carries.append(by_name[tok])
 
     nl = Netlist(

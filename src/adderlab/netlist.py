@@ -58,10 +58,6 @@ ARITY: dict[CellKind, int] = {
 }
 
 
-def arity(kind: CellKind) -> int:
-    return ARITY[kind]
-
-
 # ---------------------------------------------------------------------------
 # Core data types
 # ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import ArchitectureSpec, coerce_arch
 from .errors import InsufficientVectors, InvalidWidth
-from .generate import compose
 from .netlist import CellKind, Netlist, topo_order
 
 # ---------------------------------------------------------------------------
@@ -343,22 +341,6 @@ def _pattern_column(bit: int, nrows: int) -> int:
         col |= col << span
         span <<= 1
     return col & ((1 << nrows) - 1)
-
-
-def verify_exhaustive(
-    spec: ArchitectureSpec | str, width: int | None = None
-) -> Counterexample | None:
-    """Compare a composed adder against a + b + cin on every input.
-
-    ``width``, when given, must match the architecture's total width;
-    it exists so callers can state their expectation explicitly.
-    Enumeration covers 2**(2*width+1) rows, so width is capped at 12.
-    """
-    spec = coerce_arch(spec)
-    nl = compose(spec)
-    if width is not None and width != nl.width:
-        raise InvalidWidth(f"architecture is {nl.width} bits wide, expected {width}")
-    return verify_exhaustive_netlist(nl)
 
 
 def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:

@@ -118,6 +118,15 @@ def test_parse_accepts_carry_outputs_in_ascending_order():
     assert [nl.net_name(n) for n in nl.carries] == ["c2"]
 
 
+@pytest.mark.parametrize("name", ["c2", "c7"])
+def test_parse_rejects_carry_outputs_at_or_beyond_the_width(name):
+    text = to_text(compose("ccla:2"))
+    assert text.endswith(" cout c1\n")
+    with pytest.raises(ParseError, match=f"'{name}' is not below the width 2") as exc:
+        from_text(text.replace(" c1", f" {name}"))
+    assert exc.value.line == len(text.splitlines())
+
+
 def test_file_round_trip(tmp_path):
     nl = compose(PRESETS["design3"])
     path = tmp_path / "d3.net"

@@ -18,7 +18,6 @@ from adderlab import (
     prng_word,
     random_vectors,
     run_vectors,
-    verify_exhaustive,
     verify_exhaustive_netlist,
     verify_random,
 )
@@ -308,14 +307,9 @@ def test_pack_columns_hold_every_row_across_unpack_slices():
 
 
 def test_verify_exhaustive_covers_every_input():
-    assert verify_exhaustive("rca:2,ccla:3", width=5) is None
+    assert verify_exhaustive_netlist(compose("rca:2,ccla:3")) is None
     bad = flip_gate_kind(compose("scbcla:4"), 0)
     assert verify_exhaustive_netlist(bad) is not None
-
-
-def test_verify_exhaustive_checks_width_claim():
-    with pytest.raises(InvalidWidth):
-        verify_exhaustive("rca:3", width=4)
 
 
 def test_verify_exhaustive_refuses_wide_netlists():
