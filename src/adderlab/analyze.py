@@ -19,6 +19,7 @@ fom    = 1e6 / (power * delay * area); bigger is better. The scale
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .arch import ArchitectureSpec, coerce_arch
@@ -108,8 +109,8 @@ def power_components(
             f"toggle stats cover {len(stats.per_net_toggles)} nets, netlist has {len(nl.nets)}"
         )
     t_total = stats.total_time_ns
-    if t_total <= 0:
-        raise InvalidMetric("toggle stats span no time")
+    if not 0 < t_total < math.inf:
+        raise InvalidMetric(f"toggle stats must span a finite positive time, got {t_total} ns")
     caps = _net_caps(nl, lib)
     vdd_sq = lib.vdd_v * lib.vdd_v
     switching = 0.0

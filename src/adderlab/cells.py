@@ -162,4 +162,8 @@ def parse_library(text: str) -> CellLibrary:
 
 def load_library(path: str) -> CellLibrary:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_library(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_library(text)

@@ -151,6 +151,11 @@ def _expand_presets(text: str) -> list[str]:
             names.append(item)
     if not names:
         raise ParseError("no preset names given")
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"preset {name!r} is listed more than once in {text!r}")
+        seen.add(name)
     return names
 
 

@@ -165,7 +165,11 @@ def write_text(nl: Netlist, path: str) -> None:
 
 def read_text(path: str) -> Netlist:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return from_text(text)
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,16 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     Kahn's algorithm over the gate graph with a min-heap frontier, so
     the result is deterministic for any valid netlist. Raises
     CycleDetected if some gates never become ready.
+
+    When gate k reads only primary inputs, undriven nets and outputs of
+    gates below k (as in every netlist ``NetlistBuilder`` and
+    ``from_text`` build), Kahn's order is 0..n-1: once gates 0..k-1 are
+    popped, gate k is ready and the smallest id left. One pass checks
+    that and skips the heap.
     """
-    driver = {g.output: g.id for g in nl.gates}
+    driver = nl.driver
+    if _in_id_order(nl.gates, driver):
+        return tuple(range(len(nl.gates)))
     pending: dict[int, int] = {}
     consumers: dict[int, list[int]] = {g.id: [] for g in nl.gates}
     ready: list[int] = []
@@ -322,6 +330,17 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     if len(order) != len(nl.gates):
         raise CycleDetected(f"{len(nl.gates) - len(order)} gates are stuck in a cycle")
     return tuple(order)
+
+
+def _in_id_order(gates: tuple[Gate, ...], driver: dict[int, int]) -> bool:
+    """Whether gates[k] has id k and reads no output of a gate k or above."""
+    for k, g in enumerate(gates):
+        if g.id != k:
+            return False
+        for nid in g.inputs:
+            if driver.get(nid, -1) >= k:
+                return False
+    return True
 
 
 def census(nl: Netlist) -> Census:

@@ -75,11 +75,35 @@ def _stream_rows(width: int, start: int, count: int, seed: int) -> np.ndarray:
     return z.astype(">u8").view(np.uint8).reshape(count, 8 * nwords)
 
 
+def _field(words: np.ndarray, off: int, length: int) -> np.ndarray:
+    """Bits off .. off+length-1 (counted from the MSB of word 0) of each row
+    of uint64 words, as one uint64 per row; length is at most 64."""
+    i, s = divmod(off, 64)
+    top = words[:, i] << np.uint64(s)
+    if s + length > 64:
+        top |= words[:, i + 1] >> np.uint64(64 - s)
+    return top >> np.uint64(64 - length)
+
+
+def _put(words: np.ndarray, off: int, length: int, values: list[int]) -> None:
+    """Inverse of ``_field``: OR values below 2**length into those bits."""
+    i, s = divmod(off, 64)
+    top = np.array(values, dtype=np.uint64) << np.uint64(64 - length)
+    words[:, i] |= top >> np.uint64(s)
+    if s + length > 64:
+        words[:, i + 1] |= top << np.uint64(64 - s)
+
+
 def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
     """The first ``count`` vectors of the documented stream for this width."""
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
     rows = _stream_rows(width, 0, max(count, 0), seed)
+    if width <= 64:
+        # each operand fits one uint64: slice all rows at once
+        words = rows.view(">u8")
+        fields = (_field(words, 0, width), _field(words, width, width), _field(words, 2 * width, 1))
+        return list(map(InputVector, *(f.tolist() for f in fields)))
     step = rows.shape[1]
     spare = 8 * step - (2 * width + 1)
     mask = (1 << width) - 1
@@ -97,15 +121,41 @@ def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
 
 
 def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
-    """Caller vectors as rows of big-endian bytes, bit-aligned like the stream."""
+    """Caller vectors as rows of big-endian bytes, bit-aligned like the stream.
+
+    The batch is range-checked as a whole. Only when that fails, or when an
+    operand is not a plain ``int``, is each vector checked, so the error
+    names the first bad one; a non-integer that passes is left to the
+    integer encoder, which raises ``TypeError`` rather than cast it.
+    """
+    a = [v.a for v in vectors]
+    b = [v.b for v in vectors]
+    cin = [v.cin for v in vectors]
+    top = (1 << width) - 1
+    ints = set(map(type, a)).union(map(type, b), map(type, cin)) <= {int}
+    if not (
+        ints
+        and vectors
+        and 0 <= min(a) and max(a) <= top
+        and 0 <= min(b) and max(b) <= top
+        and set(cin) <= {0, 1}
+    ):
+        for v in vectors:
+            _check_vector(width, v)
     nbits = 2 * width + 1
+    if ints and width <= 64:
+        words = np.zeros((len(vectors), -(-nbits // 64)), dtype=np.uint64)
+        _put(words, 0, width, a)
+        _put(words, width, width, b)
+        _put(words, 2 * width, 1, cin)
+        return words.astype(">u8").view(np.uint8).reshape(len(vectors), 8 * words.shape[1])
     nbytes = -(-nbits // 8)
     pad = 8 * nbytes - nbits
-    raw = bytearray()
-    for v in vectors:
-        _check_vector(width, v)
-        raw += (((v.a << (width + 1)) | (v.b << 1) | v.cin) << pad).to_bytes(nbytes, "big")
-    return np.frombuffer(bytes(raw), dtype=np.uint8).reshape(len(vectors), nbytes)
+    raw = b"".join(
+        (((x << (width + 1)) | (y << 1) | c) << pad).to_bytes(nbytes, "big")
+        for x, y, c in zip(a, b, cin)
+    )
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), nbytes)
 
 
 def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, file outputs, stdout formats."""
 
 import json
+import random
 
 import pytest
 
@@ -155,6 +156,31 @@ def test_analyze_rejects_broken_library(tmp_path, capsys):
     assert "IncompleteLibrary" in capsys.readouterr().err
 
 
+def _random_bytes_file(tmp_path):
+    data = random.Random(1).randbytes(100)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "bin.net"
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_analyze_rejects_a_library_that_is_not_utf8(tmp_path, capsys):
+    lib = _random_bytes_file(tmp_path)
+    assert main(["analyze", "--preset", "design1", "--lib", lib]) == 1
+    err = capsys.readouterr().err
+    assert "error: ParseError" in err
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_analyze_rejects_a_non_finite_interval(interval, capsys):
+    code = main(["analyze", "--preset", "design1", "--vectors", "64", "--interval-ns", interval])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: InvalidMetric" in captured.err
+
+
 def test_compare_table_mode(tmp_path, capsys):
     out = tmp_path / "ranking.csv"
     assert main(["compare", "--table1", str(TABLE1_CSV), "--out", str(out)]) == 0
@@ -192,6 +218,15 @@ def test_compare_empty_range_rejected(capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", ["design1,design1", "design1..design3,design2"])
+def test_compare_rejects_a_repeated_preset(names, capsys):
+    assert main(["compare", "--presets", names, "--vectors", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    repeated = "design1" if names == "design1,design1" else "design2"
+    assert "error: ParseError" in captured.err and f"'{repeated}'" in captured.err
+
+
 def test_export_round_trip(tmp_path, capsys):
     src = tmp_path / "d5.net"
     src.write_text(to_text(compose("rca:1,scbcla:3x9,scbcla:4")))
@@ -214,3 +249,9 @@ def test_export_rejects_corrupt_text(tmp_path, capsys):
     src.write_text("width 2\ngarbage\n")
     assert main(["export", "--from-file", str(src)]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+def test_export_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    assert main(["export", "--from-file", _random_bytes_file(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ParseError" in err

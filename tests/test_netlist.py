@@ -1,18 +1,23 @@
 """Netlist construction, validation and topological ordering."""
 
 import dataclasses
+import heapq
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adderlab import (
     ARITY,
+    PRESETS,
     CellKind,
     Gate,
     Net,
     Netlist,
     census,
     compose,
+    from_text,
     new_netlist,
+    to_text,
     topo_order,
     validate,
 )
@@ -215,6 +220,98 @@ def test_topo_order_breaks_ties_by_gate_id():
     c = b.add_gate(CellKind.OR2, [x, y])
     nl = b.finish([s], c)
     assert topo_order(nl) == (0, 1, 2, 3)
+
+
+def kahn_reference(nl):
+    """Kahn's algorithm with a min-heap frontier, rescanning every gate after each pop."""
+    driver = {g.output: g.id for g in nl.gates}
+    deps = {g.id: [driver[nid] for nid in g.inputs if nid in driver] for g in nl.gates}
+    pending = {gid: len(d) for gid, d in deps.items()}
+    ready = [gid for gid, n in pending.items() if n == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        gid = heapq.heappop(ready)
+        order.append(gid)
+        for other, d in deps.items():
+            for dep in d:
+                if dep == gid:
+                    pending[other] -= 1
+                    if pending[other] == 0:
+                        heapq.heappush(ready, other)
+    return tuple(order)
+
+
+_KIND_OF_ARITY = {1: CellKind.INV, 2: CellKind.AND2, 3: CellKind.AND3, 4: CellKind.AND4}
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A width-1 netlist of n gates built in dependency order, then given
+    shuffled dense ids and listed by id or in build order; some inputs
+    read an undriven net (id 3 + n)."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    by_id = draw(st.booleans())
+    gates = []
+    for k in range(n):
+        # position k may read primary inputs, the undriven net, or earlier outputs
+        sources = [0, 1, 2, 3 + n] + [4 + n + j for j in range(k)]
+        inputs = draw(st.lists(st.sampled_from(sources), min_size=1, max_size=4))
+        gates.append(Gate(ids[k], _KIND_OF_ARITY[len(inputs)], tuple(inputs), 4 + n + k))
+    nets = (Net(0, "a[0]"), Net(1, "b[0]"), Net(2, "cin"))
+    nets += tuple(Net(i, f"n{i}") for i in range(3, 4 + 2 * n))
+    last = 4 + 2 * n - 1
+    return Netlist(
+        width=1,
+        nets=nets,
+        gates=tuple(sorted(gates, key=lambda g: g.id) if by_id else gates),
+        a=(0,),
+        b=(1,),
+        cin=2,
+        sums=(last,),
+        cout=last,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(nl=shuffled_dags())
+def test_topo_order_matches_a_min_heap_kahn_reference(nl):
+    assert topo_order(nl) == kahn_reference(nl)
+
+
+def test_topo_order_of_gates_listed_out_of_id_order():
+    # no gate reads a later position, yet gate 0 waits for gate 1
+    nl = _raw_width1(
+        gates=[
+            Gate(1, CellKind.INV, (0,), 3),
+            Gate(2, CellKind.XOR2, (0, 1), 4),
+            Gate(0, CellKind.AND2, (3, 2), 5),
+        ],
+        nets_extra=[Net(3, "n3"), Net(4, "cout"), Net(5, "sum[0]")],
+        sums=(5,),
+        cout=4,
+    )
+    assert topo_order(nl) == kahn_reference(nl) == (1, 0, 2)
+
+
+def test_topo_order_of_built_and_parsed_netlists_is_id_order():
+    for name, spec in PRESETS.items():
+        nl = compose(spec)
+        assert topo_order(nl) == tuple(range(len(nl.gates))) == kahn_reference(nl), name
+        parsed = from_text(to_text(nl))
+        assert topo_order(parsed) == tuple(range(len(parsed.gates))), name
+
+
+def test_topo_order_rejects_a_gate_reading_its_own_output():
+    nl = _raw_width1(
+        gates=[Gate(0, CellKind.AND2, (3, 0), 3), Gate(1, CellKind.OR2, (3, 1), 4)],
+        nets_extra=[Net(3, "sum[0]"), Net(4, "cout")],
+        sums=(3,),
+        cout=4,
+    )
+    with pytest.raises(CycleDetected):
+        topo_order(nl)
 
 
 def test_census_of_full_adder():

@@ -136,7 +136,7 @@ def naive_toggles(nl, vectors):
     return tuple(counts)
 
 
-_POOL = ["rca:3", "ccla:3", "scbcla:2,rca:1", "rca:1,scbcla:2", "ccla:2,rca:2", "rca:65"]
+_POOL = ["rca:3", "ccla:3", "scbcla:2,rca:1", "rca:1,scbcla:2", "ccla:2,rca:2", "rca:63", "rca:64", "rca:65"]
 _POOL_WIDTH = {s: compose(s).width for s in _POOL}
 
 
@@ -161,6 +161,22 @@ def test_collect_toggles_matches_vector_at_a_time_reference(data):
     assert stats.per_net_toggles == naive_toggles(nl, vectors)
     assert stats.vectors_applied == len(vectors)
     assert max(stats.per_net_toggles) <= len(vectors) - 1
+
+
+@pytest.mark.parametrize("width", [64, 65])
+def test_collect_toggles_names_the_first_bad_vector_of_a_batch(width):
+    # widths on both sides of the one-uint64-per-operand encoder
+    nl = compose(f"rca:{width}")
+    top = (1 << width) - 1
+    good = [InputVector(top, 0, 1), InputVector(0, top, 0)]
+    for bad in (InputVector(1 << width, 0, 0), InputVector(0, -1, 0), InputVector(0, 0, 2)):
+        later = InputVector(0, 0, 3)
+        with pytest.raises(InvalidWidth) as exc:
+            collect_toggles(nl, good + [bad] + good + [later])
+        assert str(bad) in str(exc.value) and str(later) not in str(exc.value)
+    for bad in (InputVector(1.5, 0, 0), InputVector(0, 2.0, 0), InputVector(0, 0, 1.0)):
+        with pytest.raises(TypeError):
+            collect_toggles(nl, good + [bad])
 
 
 def test_collect_toggles_across_batch_seams(monkeypatch):
@@ -289,6 +305,15 @@ def test_counterexamples_match_a_vector_at_a_time_scan(monkeypatch):
         assert verify_random(bad, count=len(stream), seed=3) == expected
         stream_at.append(at or 0)
     assert max(row_at) >= 8 and max(stream_at) >= 8
+
+
+@pytest.mark.parametrize("width", [1, 31, 32, 33, 40, 63, 64, 65, 130])
+def test_caller_vectors_pack_like_the_stream_they_came_from(width):
+    # operand fields that straddle uint64 words, and the wide integer path
+    nl = compose(f"rca:{width}")
+    vecs = random_vectors(width, 50, seed=width)
+    rows = simulate._stream_rows(width, 0, len(vecs), width)
+    assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == simulate._pack(nl, rows)
 
 
 def test_pack_columns_hold_every_row_across_unpack_slices():
