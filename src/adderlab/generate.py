@@ -284,7 +284,8 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
     published interface survives composition.
     """
     spec = coerce_arch(spec)
-    b = new_netlist(spec.total_width)
+    width = spec.total_width
+    b = new_netlist(width)
     sums: list[int] = []
     exposed: list[tuple[int, int]] = []
     carry = b.cin
@@ -295,7 +296,7 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
         sums.extend(result.sums)
         for local_k, net in result.carries:
             global_k = offset + local_k
-            if global_k != spec.total_width:
+            if global_k != width:
                 exposed.append((global_k, net))
         carry = result.cout
         offset = hi

@@ -27,19 +27,19 @@ from .netlist import ARITY, CellKind, Gate, Net, Netlist, validate
 
 
 def to_text(nl: Netlist) -> str:
+    names = [n.name for n in nl.nets]
     lines = [f"width {nl.width}"]
     for g in nl.gates:
-        ins = " ".join(nl.net_name(nid) for nid in g.inputs)
-        lines.append(f"g{g.id} {g.kind.value} {ins} -> {nl.net_name(g.output)}")
-    outs = [nl.net_name(nid) for nid in nl.sums]
-    outs.append(nl.net_name(nl.cout))
-    outs.extend(nl.net_name(nid) for nid in nl.carries)
+        ins = " ".join([names[nid] for nid in g.inputs])
+        lines.append(f"g{g.id} {g.kind.value} {ins} -> {names[g.output]}")
+    outs = [names[nid] for nid in nl.primary_outputs()]
     lines.append("outputs " + " ".join(outs))
     return "\n".join(lines) + "\n"
 
 
 _GATE_RE = re.compile(r"^g(\d+) (\S+) (.+) -> (\S+)$")
 _CARRY_RE = re.compile(r"^c(\d+)$")
+_KINDS = {kind.value: (kind, ARITY[kind]) for kind in CellKind}
 
 
 def from_text(text: str) -> Netlist:
@@ -56,18 +56,8 @@ def from_text(text: str) -> Netlist:
     if width < 1:
         raise ParseError("width must be >= 1", line=1)
 
-    nets: list[Net] = []
-    by_name: dict[str, int] = {}
-
-    def new_net(name: str) -> int:
-        nid = len(nets)
-        nets.append(Net(nid, name))
-        by_name[name] = nid
-        return nid
-
-    a = tuple(new_net(f"a[{i}]") for i in range(width))
-    b = tuple(new_net(f"b[{i}]") for i in range(width))
-    cin = new_net("cin")
+    names = [f"a[{i}]" for i in range(width)] + [f"b[{i}]" for i in range(width)] + ["cin"]
+    by_name = {name: nid for nid, name in enumerate(names)}
 
     gates: list[Gate] = []
     outputs_line: str | None = None
@@ -82,28 +72,24 @@ def from_text(text: str) -> Netlist:
         m = _GATE_RE.match(line)
         if not m:
             raise ParseError(f"bad gate line {line!r}", line=lineno)
-        gid = int(m.group(1))
-        if gid != len(gates):
+        gid, kind_name, in_text, out_name = m.groups()
+        if int(gid) != len(gates):
             raise ParseError(f"gate ids must be sequential, expected g{len(gates)}", line=lineno)
+        if kind_name not in _KINDS:
+            raise ParseError(f"unknown cell kind {kind_name!r}", line=lineno)
+        kind, need = _KINDS[kind_name]
+        in_names = in_text.split(" ")
+        if len(in_names) != need:
+            raise ParseError(f"{kind_name} takes {need} inputs, got {len(in_names)}", line=lineno)
         try:
-            kind = CellKind(m.group(2))
-        except ValueError:
-            raise ParseError(f"unknown cell kind {m.group(2)!r}", line=lineno) from None
-        in_names = m.group(3).split(" ")
-        if len(in_names) != ARITY[kind]:
-            raise ParseError(
-                f"{kind.value} takes {ARITY[kind]} inputs, got {len(in_names)}", line=lineno
-            )
-        ins = []
-        for name in in_names:
-            if name not in by_name:
-                raise ParseError(f"input net {name!r} is not defined yet", line=lineno)
-            ins.append(by_name[name])
-        out_name = m.group(4)
+            ins = tuple(map(by_name.__getitem__, in_names))
+        except KeyError as exc:
+            raise ParseError(f"input net {exc.args[0]!r} is not defined yet", line=lineno) from None
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
-        out = new_net(out_name)
-        gates.append(Gate(gid, kind, tuple(ins), out))
+        by_name[out_name] = len(names)
+        gates.append(Gate(len(gates), kind, ins, len(names)))
+        names.append(out_name)
 
     if outputs_line is None:
         raise ParseError("missing outputs line", line=len(lines) + 1)
@@ -143,11 +129,11 @@ def from_text(text: str) -> Netlist:
 
     nl = Netlist(
         width=width,
-        nets=tuple(nets),
+        nets=tuple(map(Net, range(len(names)), names)),
         gates=tuple(gates),
-        a=a,
-        b=b,
-        cin=cin,
+        a=tuple(range(width)),
+        b=tuple(range(width, 2 * width)),
+        cin=2 * width,
         sums=tuple(sums),
         cout=by_name["cout"],
         carries=tuple(carries),

@@ -45,6 +45,10 @@ class CellKind(Enum):
     OR4 = "OR4"
     XOR2 = "XOR2"
 
+    # Members are singletons, so identity hashing agrees with Enum's
+    # identity equality; Enum's own __hash__ runs Python code per lookup.
+    __hash__ = object.__hash__
+
 
 ARITY: dict[CellKind, int] = {
     CellKind.INV: 1,
@@ -128,16 +132,6 @@ class Netlist:
         """Map net id -> driving gate id (primary inputs have no entry)."""
         return {g.output: g.id for g in self.gates}
 
-    @cached_property
-    def readers(self) -> dict[int, tuple[int, ...]]:
-        """Map net id -> ids of gates reading it (one entry per pin)."""
-        acc: dict[int, list[int]] = {n.id: [] for n in self.nets}
-        for g in self.gates:
-            for nid in g.inputs:
-                if nid in acc:
-                    acc[nid].append(g.id)
-        return {nid: tuple(gids) for nid, gids in acc.items()}
-
     def primary_inputs(self) -> tuple[int, ...]:
         return self.a + self.b + (self.cin,)
 
@@ -156,10 +150,10 @@ class Netlist:
 class NetlistBuilder:
     """Append-only netlist constructor.
 
-    Gate ids are assigned sequentially and every added gate drives a
-    fresh internal net (named n<k>, k sequential), so a builder can only
-    ever describe a DAG. ``finish`` renames the chosen output nets to
-    their canonical names and freezes the result.
+    Gate ids are assigned sequentially and gate k drives a fresh
+    internal net named n<k>, so a builder can only ever describe a DAG.
+    ``finish`` renames the chosen output nets to their canonical names
+    and freezes the result.
     """
 
     def __init__(self, width: int):
@@ -168,7 +162,6 @@ class NetlistBuilder:
         self.width = width
         self._nets: list[Net] = []
         self._gates: list[Gate] = []
-        self._internal = 0
         self.a = tuple(self._new_net(f"a[{i}]") for i in range(width))
         self.b = tuple(self._new_net(f"b[{i}]") for i in range(width))
         self.cin = self._new_net("cin")
@@ -187,13 +180,14 @@ class NetlistBuilder:
         need = ARITY[kind]
         if len(inputs) != need:
             raise ArityMismatch(f"{kind.value} takes {need} inputs, got {len(inputs)}")
-        for nid in inputs:
-            if not (0 <= nid < len(self._nets)):
-                raise DanglingInput(f"no net with id {nid}")
-        out = self._new_net(f"n{self._internal}")
-        self._internal += 1
-        self._gates.append(Gate(len(self._gates), kind, tuple(inputs), out))
-        return out
+        nnets = len(self._nets)
+        if min(inputs) < 0 or max(inputs) >= nnets:
+            bad = next(nid for nid in inputs if not 0 <= nid < nnets)
+            raise DanglingInput(f"no net with id {bad}")
+        gid = len(self._gates)
+        self._nets.append(Net(nnets, f"n{gid}"))
+        self._gates.append(Gate(gid, kind, tuple(inputs), nnets))
+        return nnets
 
     def finish(
         self,
@@ -218,12 +212,13 @@ class NetlistBuilder:
             rename[nid] = f"c{k}"
         if len(rename) != len(sums) + 1 + len(carries):
             raise InvalidNetlist([Violation("DuplicateOutput", "output nets must be distinct")])
-        nets = tuple(
-            Net(n.id, rename[n.id]) if n.id in rename else n for n in self._nets
-        )
+        nets = list(self._nets)
+        for nid, name in rename.items():
+            if 0 <= nid < len(nets):
+                nets[nid] = Net(nid, name)
         nl = Netlist(
             width=self.width,
-            nets=nets,
+            nets=tuple(nets),
             gates=tuple(self._gates),
             a=self.a,
             b=self.b,
@@ -251,44 +246,59 @@ def new_netlist(width: int) -> NetlistBuilder:
 def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
-    Checks: dense ids, arity, dangling gate inputs, single driver per
-    net, primary inputs undriven, primary outputs driven, no dangling
-    internal nets, acyclicity.
+    Checks: dense gate ids, arity, dangling gate inputs, gate outputs
+    inside the net table, single driver per net, primary inputs
+    undriven, primary outputs driven, no dangling internal nets,
+    acyclicity (only when gate ids are dense).
     """
     out: list[Violation] = []
     nnets = len(nl.nets)
-
-    drivers: dict[int, list[int]] = {}
-    for g in nl.gates:
-        if len(g.inputs) != ARITY[g.kind]:
+    drivers = [0] * nnets
+    read = bytearray(nnets)
+    dense = True
+    for k, g in enumerate(nl.gates):
+        ins = g.inputs
+        if len(ins) != ARITY[g.kind]:
             out.append(Violation("ArityMismatch", f"g{g.id} {g.kind.value}"))
-        for nid in g.inputs:
-            if not (0 <= nid < nnets):
+        for nid in ins:
+            if 0 <= nid < nnets:
+                read[nid] = 1
+            else:
                 out.append(Violation("DanglingInput", f"g{g.id} reads net {nid}"))
-        drivers.setdefault(g.output, []).append(g.id)
+        if 0 <= g.output < nnets:
+            drivers[g.output] += 1
+        else:
+            out.append(Violation("DanglingOutput", f"g{g.id} drives net {g.output}"))
+        if g.id != k:
+            dense = False
+            out.append(Violation("NonDenseGateId", f"g{g.id} at position {k}"))
 
     pis = set(nl.primary_inputs())
-    for nid, gids in drivers.items():
-        if len(gids) > 1:
-            out.append(Violation("MultipleDrivers", nl.net_name(nid)))
-        if nid in pis:
-            out.append(Violation("DrivenInput", nl.net_name(nid)))
+    if max(drivers, default=0) > 1 or any(drivers[nid] for nid in pis if 0 <= nid < nnets):
+        # rare: name offending nets in the order their first driver appears
+        for nid in dict.fromkeys(g.output for g in nl.gates if 0 <= g.output < nnets):
+            if drivers[nid] > 1:
+                out.append(Violation("MultipleDrivers", nl.net_name(nid)))
+            if nid in pis:
+                out.append(Violation("DrivenInput", nl.net_name(nid)))
 
     for nid in nl.primary_outputs():
-        if nid not in drivers:
+        if not (0 <= nid < nnets and drivers[nid]):
             out.append(Violation("UndrivenOutput", nl.net_name(nid)))
 
-    observable = set(nl.primary_outputs())
-    for n in nl.nets:
-        if n.id in pis or n.id in observable:
-            continue
-        if not nl.readers.get(n.id):
-            out.append(Violation("DanglingNet", n.name))
+    for nid in nl.primary_outputs():
+        if 0 <= nid < nnets:
+            read[nid] = 1
+    if 0 in read:
+        out.extend(
+            Violation("DanglingNet", n.name) for n in nl.nets if not read[n.id] and n.id not in pis
+        )
 
-    try:
-        topo_order(nl)
-    except CycleDetected:
-        out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
+    if dense:
+        try:
+            topo_order(nl)
+        except CycleDetected:
+            out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
     return out
 
 
@@ -299,15 +309,16 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     the result is deterministic for any valid netlist. Raises
     CycleDetected if some gates never become ready.
 
-    When gate k reads only primary inputs, undriven nets and outputs of
-    gates below k (as in every netlist ``NetlistBuilder`` and
-    ``from_text`` build), Kahn's order is 0..n-1: once gates 0..k-1 are
-    popped, gate k is ready and the smallest id left. One pass checks
-    that and skips the heap.
+    When gate k has id k, the outputs ascend with k and every gate reads
+    only nets below its own output (as in every netlist
+    ``NetlistBuilder`` and ``from_text`` build), a driven net that gate
+    k reads comes from a gate below k, so Kahn's order is 0..n-1: once
+    gates 0..k-1 are popped, gate k is ready and the smallest id left.
+    One pass checks that and skips the heap.
     """
-    driver = nl.driver
-    if _in_id_order(nl.gates, driver):
+    if _in_id_order(nl.gates):
         return tuple(range(len(nl.gates)))
+    driver = nl.driver
     pending: dict[int, int] = {}
     consumers: dict[int, list[int]] = {g.id: [] for g in nl.gates}
     ready: list[int] = []
@@ -332,14 +343,17 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _in_id_order(gates: tuple[Gate, ...], driver: dict[int, int]) -> bool:
-    """Whether gates[k] has id k and reads no output of a gate k or above."""
+def _in_id_order(gates: tuple[Gate, ...]) -> bool:
+    """Whether gates[k] has id k, outputs ascend and each gate reads only nets below its output."""
+    prev = -1
     for k, g in enumerate(gates):
-        if g.id != k:
+        out = g.output
+        if g.id != k or out <= prev:
             return False
         for nid in g.inputs:
-            if driver.get(nid, -1) >= k:
+            if nid >= out:
                 return False
+        prev = out
     return True
 
 

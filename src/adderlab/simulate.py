@@ -29,6 +29,7 @@ ripple-carry oracle over the same columns and report the lowest bad row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,19 +124,18 @@ def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
 def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
     """Caller vectors as rows of big-endian bytes, bit-aligned like the stream.
 
-    The batch is range-checked as a whole. Only when that fails, or when an
-    operand is not a plain ``int``, is each vector checked, so the error
-    names the first bad one; a non-integer that passes is left to the
-    integer encoder, which raises ``TypeError`` rather than cast it.
+    Each operand is taken through ``operator.index``, so integer types such
+    as numpy's encode like ``int`` and a non-integer raises ``TypeError``
+    rather than being cast. The batch is then range-checked as a whole;
+    only when that fails is each vector checked, so the error names the
+    first bad one.
     """
-    a = [v.a for v in vectors]
-    b = [v.b for v in vectors]
-    cin = [v.cin for v in vectors]
+    a = list(map(operator.index, [v.a for v in vectors]))
+    b = list(map(operator.index, [v.b for v in vectors]))
+    cin = list(map(operator.index, [v.cin for v in vectors]))
     top = (1 << width) - 1
-    ints = set(map(type, a)).union(map(type, b), map(type, cin)) <= {int}
     if not (
-        ints
-        and vectors
+        vectors
         and 0 <= min(a) and max(a) <= top
         and 0 <= min(b) and max(b) <= top
         and set(cin) <= {0, 1}
@@ -143,7 +143,7 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
         for v in vectors:
             _check_vector(width, v)
     nbits = 2 * width + 1
-    if ints and width <= 64:
+    if width <= 64:
         words = np.zeros((len(vectors), -(-nbits // 64)), dtype=np.uint64)
         _put(words, 0, width, a)
         _put(words, width, width, b)

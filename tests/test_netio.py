@@ -113,6 +113,57 @@ def test_parse_rejects_undriven_declared_output():
         from_text(bad)
 
 
+def _edit(*pairs):
+    text = FULL_ADDER_TEXT
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+_OUTS = "outputs sum[0] cout\n"
+
+# one case per ParseError branch of from_text: (id, text, message, line)
+_PARSE_ERRORS = [
+    ("empty", "", "empty netlist file", 1),
+    ("header", _edit(("width 1", "widht 1")), "expected 'width <N>', got 'widht 1'", 1),
+    ("width-0", _edit(("width 1", "width 0")), "width must be >= 1", 1),
+    ("gate-line", _edit((" -> sum[0]", " sum[0]")), "bad gate line 'g1 XOR2 n0 cin sum[0]'", 3),
+    ("gate-id", _edit(("g1 XOR2", "g7 XOR2")), "gate ids must be sequential, expected g1", 3),
+    ("kind", _edit(("g2 AND2", "g2 NAND2")), "unknown cell kind 'NAND2'", 4),
+    ("arity", _edit(("OR2 n2 n3", "OR2 n2 n3 n0")), "OR2 takes 2 inputs, got 3", 6),
+    ("first-undefined", _edit(("AND2 n0 cin", "AND4 n0 n7 cin n8")),
+     "input net 'n7' is not defined yet", 5),
+    ("redefined", _edit(("cin -> n3", "cin -> n2")), "net 'n2' already defined", 5),
+    ("no-outputs", _edit((_OUTS, "")), "missing outputs line", 7),
+    ("after-outputs", FULL_ADDER_TEXT + "g5 INV n0 -> n9\n", "content after outputs line", 8),
+    ("few-outputs", _edit((_OUTS, "outputs sum[0]\n")), "outputs line needs at least 2 names", 7),
+    ("sum-order", _edit((_OUTS, "outputs cout sum[0]\n")), "expected 'sum[0]' at position 0", 7),
+    ("sum-undriven", _edit(("-> sum[0]", "-> s0")), "output net 'sum[0]' is never driven", 7),
+    ("cout-name", _edit((_OUTS, "outputs sum[0] sum[0]\n")),
+     "expected 'cout' after the sum outputs", 7),
+    ("cout-undriven", _edit(("-> cout", "-> co")), "output net 'cout' is never driven", 7),
+    ("carry-name", _edit((_OUTS, "outputs sum[0] cout x1\n")), "bad carry output name 'x1'", 7),
+    ("carry-order", _edit((_OUTS, "outputs sum[0] cout c0\n")),
+     "carry outputs must have ascending indices", 7),
+    ("carry-undriven", _edit((_OUTS, "outputs sum[0] cout c1\n")),
+     "output net 'c1' is never driven", 7),
+    ("carry-width", _edit(("n3", "c1"), (_OUTS, "outputs sum[0] cout c1\n")),
+     "carry output 'c1' is not below the width 1", 7),
+    ("validate", _edit(("OR2 n2 n3", "OR2 n2 n0")), "DanglingNet(n3)", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line", [c[1:] for c in _PARSE_ERRORS], ids=[c[0] for c in _PARSE_ERRORS]
+)
+def test_parse_error_messages_and_lines(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        from_text(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_parse_accepts_carry_outputs_in_ascending_order():
     nl = from_text(to_text(compose("scbcla:2,rca:1")))
     assert [nl.net_name(n) for n in nl.carries] == ["c2"]

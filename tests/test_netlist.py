@@ -28,6 +28,7 @@ from adderlab.errors import (
     InvalidNetlist,
     InvalidWidth,
 )
+from adderlab.netlist import Violation
 
 
 def test_builder_preallocates_primary_inputs():
@@ -187,6 +188,20 @@ def test_cycle_is_reported_and_topo_raises():
         topo_order(nl)
 
 
+def test_validate_reports_a_gate_driving_a_net_outside_the_table():
+    nl = compose("rca:2")
+    gates = (dataclasses.replace(nl.gates[0], output=99),) + nl.gates[1:]
+    broken = dataclasses.replace(nl, gates=gates)
+    assert validate(broken) == [Violation("DanglingOutput", "g0 drives net 99")]
+
+
+def test_validate_reports_gate_ids_that_are_not_dense_and_claims_no_cycle():
+    nl = compose("rca:2")
+    gates = nl.gates[:3] + (dataclasses.replace(nl.gates[3], id=7),) + nl.gates[4:]
+    broken = dataclasses.replace(nl, gates=gates)
+    assert validate(broken) == [Violation("NonDenseGateId", "g7 at position 3")]
+
+
 def test_topo_order_follows_dependencies():
     nl = compose("rca:2,scbcla:3x2")
     order = topo_order(nl)
@@ -331,3 +346,91 @@ def test_arity_table_covers_every_kind():
     assert set(ARITY) == set(CellKind)
     assert ARITY[CellKind.INV] == 1
     assert ARITY[CellKind.AND4] == ARITY[CellKind.OR4] == 4
+
+
+def validate_reference(nl):
+    """``validate`` as it was before the one-pass walk, with the readers map
+    it read inlined and the cycle check done by ``kahn_reference``."""
+    out = []
+    nnets = len(nl.nets)
+
+    drivers = {}
+    for g in nl.gates:
+        if len(g.inputs) != ARITY[g.kind]:
+            out.append(Violation("ArityMismatch", f"g{g.id} {g.kind.value}"))
+        for nid in g.inputs:
+            if not (0 <= nid < nnets):
+                out.append(Violation("DanglingInput", f"g{g.id} reads net {nid}"))
+        drivers.setdefault(g.output, []).append(g.id)
+
+    pis = set(nl.primary_inputs())
+    for nid, gids in drivers.items():
+        if len(gids) > 1:
+            out.append(Violation("MultipleDrivers", nl.net_name(nid)))
+        if nid in pis:
+            out.append(Violation("DrivenInput", nl.net_name(nid)))
+
+    for nid in nl.primary_outputs():
+        if nid not in drivers:
+            out.append(Violation("UndrivenOutput", nl.net_name(nid)))
+
+    readers = {n.id: [] for n in nl.nets}
+    for g in nl.gates:
+        for nid in g.inputs:
+            if nid in readers:
+                readers[nid].append(g.id)
+    observable = set(nl.primary_outputs())
+    for n in nl.nets:
+        if n.id in pis or n.id in observable:
+            continue
+        if not readers.get(n.id):
+            out.append(Violation("DanglingNet", n.name))
+
+    if len(kahn_reference(nl)) != len(nl.gates):
+        out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
+    return out
+
+
+_MUTATIONS = ("swap", "dup_output", "drive_input", "arity", "out_of_range", "drop_reader", "cycle")
+
+
+@st.composite
+def mutilated_netlists(draw):
+    """A small built netlist with 1-4 structural faults that keep gate ids
+    dense and gate outputs inside the net table."""
+    nl = compose(draw(st.sampled_from(["rca:1", "rca:2", "ccla:2", "scbcla:3", "rca:1,ccla:2"])))
+    gates = list(nl.gates)
+    nnets, ngates = len(nl.nets), len(gates)
+    pis = nl.primary_inputs()
+    for _ in range(draw(st.integers(1, 4))):
+        what = draw(st.sampled_from(_MUTATIONS))
+        i = draw(st.integers(0, ngates - 1))
+        g = gates[i]
+        ins = list(g.inputs)
+        pin = draw(st.integers(0, len(ins) - 1)) if ins else None
+        if what == "dup_output":
+            g = dataclasses.replace(g, output=gates[draw(st.integers(0, ngates - 1))].output)
+        elif what == "drive_input":
+            g = dataclasses.replace(g, output=draw(st.sampled_from(pis)))
+        elif what == "arity":  # drop the last input or add one
+            grown = ins + [draw(st.integers(0, nnets - 1))]
+            g = dataclasses.replace(g, inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
+        elif pin is not None:
+            if what == "swap":
+                ins[pin] = draw(st.integers(0, nnets - 1))
+            elif what == "out_of_range":
+                ins[pin] = draw(st.sampled_from([-1, -5, nnets, nnets + 3]))
+            elif what == "drop_reader":
+                ins[pin] = draw(st.sampled_from(pis))
+            else:  # cycle: read the output of this gate or a later one
+                ins[pin] = gates[draw(st.integers(i, ngates - 1))].output
+            g = dataclasses.replace(g, inputs=tuple(ins))
+        gates[i] = g
+    return dataclasses.replace(nl, gates=tuple(gates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nl=mutilated_netlists())
+def test_validate_matches_the_reference_on_mutilated_netlists(nl):
+    assert validate(nl) == validate_reference(nl)
+

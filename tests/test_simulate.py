@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +178,21 @@ def test_collect_toggles_names_the_first_bad_vector_of_a_batch(width):
     for bad in (InputVector(1.5, 0, 0), InputVector(0, 2.0, 0), InputVector(0, 0, 1.0)):
         with pytest.raises(TypeError):
             collect_toggles(nl, good + [bad])
+
+
+@pytest.mark.parametrize("width", [8, 40, 64, 65])
+def test_numpy_integer_operands_encode_like_ints(width):
+    # numpy scalars hold 64 bits, so operands are cut to fit at width 65
+    ints = [InputVector(v.a % 2**64, v.b % 2**63, v.cin) for v in random_vectors(width, 6, 2)]
+    numpy_ops = [InputVector(np.uint64(v.a), np.int64(v.b), np.int64(v.cin)) for v in ints]
+    nl = compose(f"rca:{width}")
+    assert collect_toggles(nl, numpy_ops) == collect_toggles(nl, ints)
+    traces = []
+    for vectors in (numpy_ops, ints):
+        buf = io.StringIO()
+        dump_trace(nl, vectors, buf)
+        traces.append(buf.getvalue())
+    assert traces[0] == traces[1]
 
 
 def test_collect_toggles_across_batch_seams(monkeypatch):
