@@ -39,7 +39,6 @@ from .netlist import (
     ARITY,
     CellKind,
     Gate,
-    Net,
     Netlist,
     census,
     new_netlist,
@@ -71,7 +70,6 @@ __all__ = [
     "Counterexample",
     "Gate",
     "InputVector",
-    "Net",
     "Netlist",
     "PRESETS",
     "ToggleStats",

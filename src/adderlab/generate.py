@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import ArchitectureSpec, BlockKind, coerce_arch
+from .arch import _MIN_WIDTH, ArchitectureSpec, BlockKind, coerce_arch
 from .errors import InvalidBlockWidth
 from .netlist import CellKind, Netlist, NetlistBuilder, new_netlist
 
@@ -199,18 +199,19 @@ def gen_scclg(b: NetlistBuilder, pg: PGBundle, c0: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_block(a_nets, b_nets, least: int, what: str) -> int:
+def _check_block(a_nets, b_nets, kind: BlockKind) -> int:
     if len(a_nets) != len(b_nets):
         raise InvalidBlockWidth("a and b slices must have equal length")
     m = len(a_nets)
+    least = _MIN_WIDTH[kind]
     if m < least:
-        raise InvalidBlockWidth(f"{what} needs width >= {least}, got {m}")
+        raise InvalidBlockWidth(f"{kind.value} block needs width >= {least}, got {m}")
     return m
 
 
 def gen_rca_block(b: NetlistBuilder, a_nets, b_nets, cin: int) -> BlockNets:
     """Plain ripple-carry section: a chain of full adders."""
-    m = _check_block(a_nets, b_nets, 1, "rca block")
+    m = _check_block(a_nets, b_nets, BlockKind.RCA)
     sums: list[int] = []
     carry = cin
     for i in range(m):
@@ -227,7 +228,7 @@ def gen_ccla_block(b: NetlistBuilder, a_nets, b_nets, cin: int) -> BlockNets:
     and the section carry-out is the generator's final carry. All m
     lookahead carries are reported.
     """
-    m = _check_block(a_nets, b_nets, 2, "ccla block")
+    m = _check_block(a_nets, b_nets, BlockKind.CCLA)
     pg = gen_pg(b, a_nets, b_nets)
     carries = gen_cclg(b, pg, cin)
     sums: list[int] = []
@@ -249,7 +250,7 @@ def gen_scbcla_block(b: NetlistBuilder, a_nets, b_nets, cin: int) -> BlockNets:
     flattened cone, not the ripple chain, so it is exactly one
     lookahead carry.
     """
-    m = _check_block(a_nets, b_nets, 2, "scbcla block")
+    m = _check_block(a_nets, b_nets, BlockKind.SCBCLA)
     pg = gen_pg(b, a_nets, b_nets)
     section_carry = gen_scclg(b, pg, cin)
     sums: list[int] = []

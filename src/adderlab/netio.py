@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .netlist import ARITY, CellKind, Gate, Net, Netlist, validate
+from .netlist import ARITY, CellKind, Gate, Netlist, input_layout, validate
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -27,11 +27,11 @@ from .netlist import ARITY, CellKind, Gate, Net, Netlist, validate
 
 
 def to_text(nl: Netlist) -> str:
-    names = [n.name for n in nl.nets]
+    names = nl.nets
     lines = [f"width {nl.width}"]
-    for g in nl.gates:
+    for k, g in enumerate(nl.gates):
         ins = " ".join([names[nid] for nid in g.inputs])
-        lines.append(f"g{g.id} {g.kind.value} {ins} -> {names[g.output]}")
+        lines.append(f"g{k} {g.kind.value} {ins} -> {names[g.output]}")
     outs = [names[nid] for nid in nl.primary_outputs()]
     lines.append("outputs " + " ".join(outs))
     return "\n".join(lines) + "\n"
@@ -56,7 +56,7 @@ def from_text(text: str) -> Netlist:
     if width < 1:
         raise ParseError("width must be >= 1", line=1)
 
-    names = [f"a[{i}]" for i in range(width)] + [f"b[{i}]" for i in range(width)] + ["cin"]
+    names, a, b, cin = input_layout(width)
     by_name = {name: nid for nid, name in enumerate(names)}
 
     gates: list[Gate] = []
@@ -88,7 +88,7 @@ def from_text(text: str) -> Netlist:
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
         by_name[out_name] = len(names)
-        gates.append(Gate(len(gates), kind, ins, len(names)))
+        gates.append(Gate(kind, ins, len(names)))
         names.append(out_name)
 
     if outputs_line is None:
@@ -129,11 +129,11 @@ def from_text(text: str) -> Netlist:
 
     nl = Netlist(
         width=width,
-        nets=tuple(map(Net, range(len(names)), names)),
+        nets=tuple(names),
         gates=tuple(gates),
-        a=tuple(range(width)),
-        b=tuple(range(width, 2 * width)),
-        cin=2 * width,
+        a=a,
+        b=b,
+        cin=cin,
         sums=tuple(sums),
         cout=by_name["cout"],
         carries=tuple(carries),
@@ -182,7 +182,8 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     named after its gate id.
     """
     w = nl.width
-    scalar_outs = ["cout"] + [nl.net_name(nid) for nid in nl.carries]
+    names = nl.nets
+    scalar_outs = ["cout"] + [names[nid] for nid in nl.carries]
     ports = ["a", "b", "cin", "sum"] + scalar_outs
     named = set(nl.primary_inputs()) | set(nl.primary_outputs())
 
@@ -193,13 +194,13 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     lines.append(f"  output [{w - 1}:0] sum;")
     for name in scalar_outs:
         lines.append(f"  output {name};")
-    for net in nl.nets:
-        if net.id not in named:
-            lines.append(f"  wire {net.name};")
+    for nid, name in enumerate(names):
+        if nid not in named:
+            lines.append(f"  wire {name};")
     lines.append("")
-    for g in nl.gates:
+    for k, g in enumerate(nl.gates):
         prim = _PRIMITIVE[g.kind]
-        args = ", ".join([nl.net_name(g.output)] + [nl.net_name(nid) for nid in g.inputs])
-        lines.append(f"  {prim} g{g.id} ({args});")
+        args = ", ".join([names[g.output]] + [names[nid] for nid in g.inputs])
+        lines.append(f"  {prim} g{k} ({args});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

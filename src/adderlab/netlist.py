@@ -1,8 +1,9 @@
 """Immutable gate-level netlist model.
 
 A netlist is a DAG of single-output gates drawn from a fixed primitive
-set (INV, AND2-4, OR2-4, XOR2). Nets carry dense integer ids and unique
-names; the adder-shaped primary interface is fixed at construction time:
+set (INV, AND2-4, OR2-4, XOR2). A net's id is its position in the
+net-name table and a gate's id is its position in the gate list; the
+adder-shaped primary interface is fixed at construction time:
 inputs a[0..w), b[0..w), cin and outputs sum[0..w), cout, plus any
 exposed lookahead-carry nets (named c<k> for the carry into bit k).
 
@@ -68,18 +69,9 @@ ARITY: dict[CellKind, int] = {
 
 
 @dataclass(frozen=True)
-class Net:
-    """A named wire. Ids are dense and index directly into Netlist.nets."""
-
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
 class Gate:
     """One primitive instance: ordered input net ids, single output net."""
 
-    id: int
     kind: CellKind
     inputs: tuple[int, ...]
     output: int
@@ -108,7 +100,8 @@ class Census:
 class Netlist:
     """A frozen gate-level adder netlist.
 
-    ``nets`` and ``gates`` are dense, indexable by id. ``a``, ``b``,
+    ``nets`` holds the net names and ``gates`` the gates; a net's or
+    gate's id is its position there. ``a``, ``b``,
     ``cin`` hold primary-input net ids; ``sums``, ``cout`` and
     ``carries`` hold primary-output net ids. ``carries`` lists exposed
     lookahead carries in ascending bit order (their names encode the
@@ -116,7 +109,7 @@ class Netlist:
     """
 
     width: int
-    nets: tuple[Net, ...]
+    nets: tuple[str, ...]
     gates: tuple[Gate, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -130,7 +123,7 @@ class Netlist:
     @cached_property
     def driver(self) -> dict[int, int]:
         """Map net id -> driving gate id (primary inputs have no entry)."""
-        return {g.output: g.id for g in self.gates}
+        return {g.output: k for k, g in enumerate(self.gates)}
 
     def primary_inputs(self) -> tuple[int, ...]:
         return self.a + self.b + (self.cin,)
@@ -138,8 +131,12 @@ class Netlist:
     def primary_outputs(self) -> tuple[int, ...]:
         return self.sums + (self.cout,) + self.carries
 
-    def net_name(self, nid: int) -> str:
-        return self.nets[nid].name
+
+def input_layout(width: int) -> tuple[list[str], tuple[int, ...], tuple[int, ...], int]:
+    """Net names and ids of the primary inputs, which every netlist lists
+    first: a[i] is net i, b[i] is net width+i and cin is net 2*width."""
+    names = [f"a[{i}]" for i in range(width)] + [f"b[{i}]" for i in range(width)] + ["cin"]
+    return names, tuple(range(width)), tuple(range(width, 2 * width)), 2 * width
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +157,8 @@ class NetlistBuilder:
         if not isinstance(width, int) or width < 1:
             raise InvalidWidth(f"adder width must be a positive integer, got {width!r}")
         self.width = width
-        self._nets: list[Net] = []
+        self._nets, self.a, self.b, self.cin = input_layout(width)
         self._gates: list[Gate] = []
-        self.a = tuple(self._new_net(f"a[{i}]") for i in range(width))
-        self.b = tuple(self._new_net(f"b[{i}]") for i in range(width))
-        self.cin = self._new_net("cin")
-
-    def _new_net(self, name: str) -> int:
-        nid = len(self._nets)
-        self._nets.append(Net(nid, name))
-        return nid
 
     @property
     def gate_count(self) -> int:
@@ -184,9 +173,8 @@ class NetlistBuilder:
         if min(inputs) < 0 or max(inputs) >= nnets:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
             raise DanglingInput(f"no net with id {bad}")
-        gid = len(self._gates)
-        self._nets.append(Net(nnets, f"n{gid}"))
-        self._gates.append(Gate(gid, kind, tuple(inputs), nnets))
+        self._nets.append(f"n{len(self._gates)}")
+        self._gates.append(Gate(kind, tuple(inputs), nnets))
         return nnets
 
     def finish(
@@ -215,7 +203,7 @@ class NetlistBuilder:
         nets = list(self._nets)
         for nid, name in rename.items():
             if 0 <= nid < len(nets):
-                nets[nid] = Net(nid, name)
+                nets[nid] = name
         nl = Netlist(
             width=self.width,
             nets=tuple(nets),
@@ -246,59 +234,65 @@ def new_netlist(width: int) -> NetlistBuilder:
 def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
-    Checks: dense gate ids, arity, dangling gate inputs, gate outputs
-    inside the net table, single driver per net, primary inputs
-    undriven, primary outputs driven, no dangling internal nets,
-    acyclicity (only when gate ids are dense).
+    Checks: port ids inside the net table (when one is not, only those
+    are reported), arity, dangling gate inputs, gate outputs inside the
+    net table, single driver per net, primary inputs undriven, primary
+    outputs driven, no dangling internal nets, acyclicity.
     """
-    out: list[Violation] = []
     nnets = len(nl.nets)
+    bad = [
+        (f"{v}[{i}]", nid)
+        for v, ids in (("a", nl.a), ("b", nl.b), ("sum", nl.sums), ("carries", nl.carries))
+        for i, nid in enumerate(ids)
+        if not 0 <= nid < nnets
+    ]
+    bad += [(p, nid) for p, nid in (("cin", nl.cin), ("cout", nl.cout)) if not 0 <= nid < nnets]
+    if bad:
+        return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
+
+    out: list[Violation] = []
     drivers = [0] * nnets
     read = bytearray(nnets)
-    dense = True
     for k, g in enumerate(nl.gates):
         ins = g.inputs
         if len(ins) != ARITY[g.kind]:
-            out.append(Violation("ArityMismatch", f"g{g.id} {g.kind.value}"))
+            out.append(Violation("ArityMismatch", f"g{k} {g.kind.value}"))
         for nid in ins:
             if 0 <= nid < nnets:
                 read[nid] = 1
             else:
-                out.append(Violation("DanglingInput", f"g{g.id} reads net {nid}"))
+                out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
         if 0 <= g.output < nnets:
             drivers[g.output] += 1
         else:
-            out.append(Violation("DanglingOutput", f"g{g.id} drives net {g.output}"))
-        if g.id != k:
-            dense = False
-            out.append(Violation("NonDenseGateId", f"g{g.id} at position {k}"))
+            out.append(Violation("DanglingOutput", f"g{k} drives net {g.output}"))
 
     pis = set(nl.primary_inputs())
-    if max(drivers, default=0) > 1 or any(drivers[nid] for nid in pis if 0 <= nid < nnets):
+    if max(drivers, default=0) > 1 or any(drivers[nid] for nid in pis):
         # rare: name offending nets in the order their first driver appears
         for nid in dict.fromkeys(g.output for g in nl.gates if 0 <= g.output < nnets):
             if drivers[nid] > 1:
-                out.append(Violation("MultipleDrivers", nl.net_name(nid)))
+                out.append(Violation("MultipleDrivers", nl.nets[nid]))
             if nid in pis:
-                out.append(Violation("DrivenInput", nl.net_name(nid)))
+                out.append(Violation("DrivenInput", nl.nets[nid]))
 
     for nid in nl.primary_outputs():
-        if not (0 <= nid < nnets and drivers[nid]):
-            out.append(Violation("UndrivenOutput", nl.net_name(nid)))
+        if not drivers[nid]:
+            out.append(Violation("UndrivenOutput", nl.nets[nid]))
 
     for nid in nl.primary_outputs():
-        if 0 <= nid < nnets:
-            read[nid] = 1
+        read[nid] = 1
     if 0 in read:
         out.extend(
-            Violation("DanglingNet", n.name) for n in nl.nets if not read[n.id] and n.id not in pis
+            Violation("DanglingNet", name)
+            for nid, name in enumerate(nl.nets)
+            if not read[nid] and nid not in pis
         )
 
-    if dense:
-        try:
-            topo_order(nl)
-        except CycleDetected:
-            out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
+    try:
+        topo_order(nl)
+    except CycleDetected:
+        out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
     return out
 
 
@@ -309,46 +303,46 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     the result is deterministic for any valid netlist. Raises
     CycleDetected if some gates never become ready.
 
-    When gate k has id k, the outputs ascend with k and every gate reads
-    only nets below its own output (as in every netlist
-    ``NetlistBuilder`` and ``from_text`` build), a driven net that gate
-    k reads comes from a gate below k, so Kahn's order is 0..n-1: once
-    gates 0..k-1 are popped, gate k is ready and the smallest id left.
-    One pass checks that and skips the heap.
+    When the gate outputs ascend and every gate reads only nets below
+    its own output (as in every netlist ``NetlistBuilder`` and
+    ``from_text`` build), a driven net that gate k reads comes from a
+    gate below k, so Kahn's order is 0..n-1: once gates 0..k-1 are
+    popped, gate k is ready and the smallest id left. One pass checks
+    that and skips the heap.
     """
-    if _in_id_order(nl.gates):
-        return tuple(range(len(nl.gates)))
+    gates = nl.gates
+    if _in_order(gates):
+        return tuple(range(len(gates)))
     driver = nl.driver
-    pending: dict[int, int] = {}
-    consumers: dict[int, list[int]] = {g.id: [] for g in nl.gates}
-    ready: list[int] = []
-    for g in nl.gates:
+    pending = [0] * len(gates)
+    consumers: list[list[int]] = [[] for _ in gates]
+    ready: list[int] = []  # filled in ascending order, so already a heap
+    for k, g in enumerate(gates):
         deps = [driver[nid] for nid in g.inputs if nid in driver]
-        pending[g.id] = len(deps)
+        pending[k] = len(deps)
         for d in deps:
-            consumers[d].append(g.id)
+            consumers[d].append(k)
         if not deps:
-            ready.append(g.id)
-    heapq.heapify(ready)
+            ready.append(k)
     order: list[int] = []
     while ready:
-        gid = heapq.heappop(ready)
-        order.append(gid)
-        for nxt in consumers[gid]:
+        k = heapq.heappop(ready)
+        order.append(k)
+        for nxt in consumers[k]:
             pending[nxt] -= 1
             if pending[nxt] == 0:
                 heapq.heappush(ready, nxt)
-    if len(order) != len(nl.gates):
-        raise CycleDetected(f"{len(nl.gates) - len(order)} gates are stuck in a cycle")
+    if len(order) != len(gates):
+        raise CycleDetected(f"{len(gates) - len(order)} gates are stuck in a cycle")
     return tuple(order)
 
 
-def _in_id_order(gates: tuple[Gate, ...]) -> bool:
-    """Whether gates[k] has id k, outputs ascend and each gate reads only nets below its output."""
+def _in_order(gates: tuple[Gate, ...]) -> bool:
+    """Whether gate outputs ascend and each gate reads only nets below its output."""
     prev = -1
-    for k, g in enumerate(gates):
+    for g in gates:
         out = g.output
-        if g.id != k or out <= prev:
+        if out <= prev:
             return False
         for nid in g.inputs:
             if nid >= out:

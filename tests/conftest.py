@@ -50,12 +50,12 @@ FLIP = {
 
 
 def flippable_gates(nl: Netlist) -> list[int]:
-    return [g.id for g in nl.gates if g.kind in FLIP]
+    return [k for k, g in enumerate(nl.gates) if g.kind in FLIP]
 
 
 def flip_gate_kind(nl: Netlist, gate_id: int) -> Netlist:
     """Return a copy of ``nl`` with one gate's kind swapped per FLIP."""
     gates = list(nl.gates)
     g = gates[gate_id]
-    gates[gate_id] = Gate(g.id, FLIP[g.kind], g.inputs, g.output)
+    gates[gate_id] = Gate(FLIP[g.kind], g.inputs, g.output)
     return dataclasses.replace(nl, gates=tuple(gates))

@@ -94,11 +94,11 @@ def test_critical_path_single_gate_with_output_load():
 
 
 def test_critical_path_empty_netlist():
-    from adderlab import Net, Netlist
+    from adderlab import Netlist
 
     nl = Netlist(
         width=1,
-        nets=(Net(0, "a[0]"), Net(1, "b[0]"), Net(2, "cin")),
+        nets=("a[0]", "b[0]", "cin"),
         gates=(),
         a=(0,),
         b=(1,),

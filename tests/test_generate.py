@@ -53,10 +53,7 @@ def ref_carries(width, a, b, cin):
 
 
 def net_by_name(nl, name):
-    for n in nl.nets:
-        if n.name == name:
-            return n.id
-    raise KeyError(name)
+    return nl.nets.index(name)
 
 
 def all_inputs(width):
@@ -256,11 +253,11 @@ def test_preset_gate_counts_frozen():
 
 def test_exposed_carry_names_are_global_indices():
     d1 = compose(PRESETS["design1"])
-    assert [d1.net_name(n) for n in d1.carries] == [f"c{k}" for k in range(1, 32)]
+    assert [d1.nets[n] for n in d1.carries] == [f"c{k}" for k in range(1, 32)]
     d3 = compose(PRESETS["design3"])
-    assert [d3.net_name(n) for n in d3.carries] == [f"c{k}" for k in range(2, 30, 3)]
+    assert [d3.nets[n] for n in d3.carries] == [f"c{k}" for k in range(2, 30, 3)]
     d6 = compose(PRESETS["design6"])
-    assert [d6.net_name(n) for n in d6.carries] == [f"c{k}" for k in range(6, 31, 3)]
+    assert [d6.nets[n] for n in d6.carries] == [f"c{k}" for k in range(6, 31, 3)]
     assert compose(PRESETS["rca32"]).carries == ()
 
 

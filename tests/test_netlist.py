@@ -11,7 +11,6 @@ from adderlab import (
     PRESETS,
     CellKind,
     Gate,
-    Net,
     Netlist,
     census,
     compose,
@@ -34,7 +33,7 @@ from adderlab.netlist import Violation
 def test_builder_preallocates_primary_inputs():
     b = new_netlist(3)
     names = [f"a[{i}]" for i in range(3)] + [f"b[{i}]" for i in range(3)] + ["cin"]
-    assert [b._nets[n].name for n in (*b.a, *b.b, b.cin)] == names
+    assert [b._nets[n] for n in (*b.a, *b.b, b.cin)] == names
     assert b.a == (0, 1, 2) and b.b == (3, 4, 5) and b.cin == 6
     assert b.gate_count == 0
 
@@ -51,7 +50,7 @@ def test_add_gate_assigns_sequential_ids_and_fresh_nets():
     n1 = b.add_gate(CellKind.INV, [n0])
     assert (n0, n1) == (3, 4)
     assert b.gate_count == 2
-    assert b._gates[1] == Gate(1, CellKind.INV, (3,), 4)
+    assert b._gates[1] == Gate(CellKind.INV, (3,), 4)
 
 
 def test_add_gate_checks_arity():
@@ -83,8 +82,8 @@ def _full_adder_by_hand():
 def test_finish_names_outputs_and_freezes():
     b, s, c = _full_adder_by_hand()
     nl = b.finish([s], c)
-    assert nl.net_name(nl.sums[0]) == "sum[0]"
-    assert nl.net_name(nl.cout) == "cout"
+    assert nl.nets[nl.sums[0]] == "sum[0]"
+    assert nl.nets[nl.cout] == "cout"
     assert nl.width == 1 and nl.carries == ()
     assert validate(nl) == []
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -105,10 +104,13 @@ def test_finish_rejects_duplicate_output_nets():
 
 def test_finish_rejects_output_with_no_driver():
     b, s, _ = _full_adder_by_hand()
-    # cin is a primary input, not a gate output
+    # cin is a primary input, not a gate output, and the carry gate's output n4 is left unread
     with pytest.raises(InvalidNetlist) as exc:
         b.finish([s], b.cin)
-    assert any(v.kind == "DrivenOutputMissing" or "Undriven" in v.kind for v in exc.value.violations)
+    assert exc.value.violations == [
+        Violation("UndrivenOutput", "cout"),
+        Violation("DanglingNet", "n4"),
+    ]
 
 
 def test_generated_presets_validate_clean():
@@ -119,14 +121,14 @@ def test_generated_presets_validate_clean():
 def test_validate_reports_undriven_output():
     nl = compose("ccla:4")
     drv = nl.driver[nl.sums[3]]
-    gates = tuple(g for g in nl.gates if g.id != drv)
+    gates = nl.gates[:drv] + nl.gates[drv + 1 :]
     broken = dataclasses.replace(nl, gates=gates)
     kinds = {(v.kind, v.subject) for v in validate(broken)}
     assert ("UndrivenOutput", "sum[3]") in kinds
 
 
 def _raw_width1(gates, nets_extra, sums, cout):
-    nets = (Net(0, "a[0]"), Net(1, "b[0]"), Net(2, "cin")) + tuple(nets_extra)
+    nets = ("a[0]", "b[0]", "cin") + tuple(nets_extra)
     return Netlist(
         width=1, nets=nets, gates=tuple(gates), a=(0,), b=(1,), cin=2, sums=sums, cout=cout
     )
@@ -135,11 +137,11 @@ def _raw_width1(gates, nets_extra, sums, cout):
 def test_validate_reports_multiple_drivers():
     nl = _raw_width1(
         gates=[
-            Gate(0, CellKind.AND2, (0, 1), 3),
-            Gate(1, CellKind.OR2, (0, 1), 3),
-            Gate(2, CellKind.XOR2, (0, 1), 4),
+            Gate(CellKind.AND2, (0, 1), 3),
+            Gate(CellKind.OR2, (0, 1), 3),
+            Gate(CellKind.XOR2, (0, 1), 4),
         ],
-        nets_extra=[Net(3, "sum[0]"), Net(4, "cout")],
+        nets_extra=["sum[0]", "cout"],
         sums=(3,),
         cout=4,
     )
@@ -149,11 +151,11 @@ def test_validate_reports_multiple_drivers():
 def test_validate_reports_driven_primary_input():
     nl = _raw_width1(
         gates=[
-            Gate(0, CellKind.AND2, (1, 2), 0),
-            Gate(1, CellKind.OR2, (1, 2), 3),
-            Gate(2, CellKind.XOR2, (1, 2), 4),
+            Gate(CellKind.AND2, (1, 2), 0),
+            Gate(CellKind.OR2, (1, 2), 3),
+            Gate(CellKind.XOR2, (1, 2), 4),
         ],
-        nets_extra=[Net(3, "sum[0]"), Net(4, "cout")],
+        nets_extra=["sum[0]", "cout"],
         sums=(3,),
         cout=4,
     )
@@ -163,10 +165,10 @@ def test_validate_reports_driven_primary_input():
 def test_validate_reports_dangling_net():
     nl = _raw_width1(
         gates=[
-            Gate(0, CellKind.OR2, (0, 1), 3),
-            Gate(1, CellKind.XOR2, (0, 2), 4),
+            Gate(CellKind.OR2, (0, 1), 3),
+            Gate(CellKind.XOR2, (0, 2), 4),
         ],
-        nets_extra=[Net(3, "sum[0]"), Net(4, "cout"), Net(5, "n9")],
+        nets_extra=["sum[0]", "cout", "n9"],
         sums=(3,),
         cout=4,
     )
@@ -176,10 +178,10 @@ def test_validate_reports_dangling_net():
 def test_cycle_is_reported_and_topo_raises():
     nl = _raw_width1(
         gates=[
-            Gate(0, CellKind.AND2, (4, 0), 3),
-            Gate(1, CellKind.OR2, (3, 1), 4),
+            Gate(CellKind.AND2, (4, 0), 3),
+            Gate(CellKind.OR2, (3, 1), 4),
         ],
-        nets_extra=[Net(3, "sum[0]"), Net(4, "cout")],
+        nets_extra=["sum[0]", "cout"],
         sums=(3,),
         cout=4,
     )
@@ -195,11 +197,20 @@ def test_validate_reports_a_gate_driving_a_net_outside_the_table():
     assert validate(broken) == [Violation("DanglingOutput", "g0 drives net 99")]
 
 
-def test_validate_reports_gate_ids_that_are_not_dense_and_claims_no_cycle():
+@pytest.mark.parametrize(
+    "change, subject",
+    [
+        (lambda nl: {"cout": 999}, "cout is net 999"),
+        (lambda nl: {"a": (0, 999)}, "a[1] is net 999"),
+        (lambda nl: {"cin": 999}, "cin is net 999"),
+        (lambda nl: {"sums": (nl.sums[0], -1)}, "sum[1] is net -1"),
+    ],
+    ids=["cout", "a", "cin", "sums"],
+)
+def test_validate_reports_a_port_outside_the_net_table(change, subject):
     nl = compose("rca:2")
-    gates = nl.gates[:3] + (dataclasses.replace(nl.gates[3], id=7),) + nl.gates[4:]
-    broken = dataclasses.replace(nl, gates=gates)
-    assert validate(broken) == [Violation("NonDenseGateId", "g7 at position 3")]
+    broken = dataclasses.replace(nl, **change(nl))
+    assert validate(broken) == [Violation("DanglingPort", subject)]
 
 
 def test_topo_order_follows_dependencies():
@@ -207,20 +218,20 @@ def test_topo_order_follows_dependencies():
     order = topo_order(nl)
     assert sorted(order) == list(range(len(nl.gates)))
     pos = {gid: i for i, gid in enumerate(order)}
-    for g in nl.gates:
+    for k, g in enumerate(nl.gates):
         for nid in g.inputs:
             if nid in nl.driver:
-                assert pos[nl.driver[nid]] < pos[g.id]
+                assert pos[nl.driver[nid]] < pos[k]
 
 
 def test_topo_order_is_dependency_driven_not_id_order():
     # gate 0 reads gate 1's output, so 1 must be scheduled first
     nl = _raw_width1(
         gates=[
-            Gate(0, CellKind.AND2, (4, 1), 3),
-            Gate(1, CellKind.INV, (0,), 4),
+            Gate(CellKind.AND2, (4, 1), 3),
+            Gate(CellKind.INV, (0,), 4),
         ],
-        nets_extra=[Net(3, "sum[0]"), Net(4, "cout")],
+        nets_extra=["sum[0]", "cout"],
         sums=(3,),
         cout=4,
     )
@@ -239,8 +250,8 @@ def test_topo_order_breaks_ties_by_gate_id():
 
 def kahn_reference(nl):
     """Kahn's algorithm with a min-heap frontier, rescanning every gate after each pop."""
-    driver = {g.output: g.id for g in nl.gates}
-    deps = {g.id: [driver[nid] for nid in g.inputs if nid in driver] for g in nl.gates}
+    driver = {g.output: k for k, g in enumerate(nl.gates)}
+    deps = {k: [driver[nid] for nid in g.inputs if nid in driver] for k, g in enumerate(nl.gates)}
     pending = {gid: len(d) for gid, d in deps.items()}
     ready = [gid for gid, n in pending.items() if n == 0]
     heapq.heapify(ready)
@@ -262,9 +273,9 @@ _KIND_OF_ARITY = {1: CellKind.INV, 2: CellKind.AND2, 3: CellKind.AND3, 4: CellKi
 
 @st.composite
 def shuffled_dags(draw):
-    """A width-1 netlist of n gates built in dependency order, then given
-    shuffled dense ids and listed by id or in build order; some inputs
-    read an undriven net (id 3 + n)."""
+    """A width-1 netlist of n gates built in dependency order, then moved
+    to shuffled positions (ids) or left in build order; some inputs read
+    an undriven net (id 3 + n)."""
     n = draw(st.integers(1, 12))
     ids = draw(st.permutations(range(n)))
     by_id = draw(st.booleans())
@@ -273,14 +284,16 @@ def shuffled_dags(draw):
         # position k may read primary inputs, the undriven net, or earlier outputs
         sources = [0, 1, 2, 3 + n] + [4 + n + j for j in range(k)]
         inputs = draw(st.lists(st.sampled_from(sources), min_size=1, max_size=4))
-        gates.append(Gate(ids[k], _KIND_OF_ARITY[len(inputs)], tuple(inputs), 4 + n + k))
-    nets = (Net(0, "a[0]"), Net(1, "b[0]"), Net(2, "cin"))
-    nets += tuple(Net(i, f"n{i}") for i in range(3, 4 + 2 * n))
+        gates.append(Gate(_KIND_OF_ARITY[len(inputs)], tuple(inputs), 4 + n + k))
+    if by_id:
+        gates = [gates[ids.index(j)] for j in range(n)]
+    nets = ("a[0]", "b[0]", "cin")
+    nets += tuple(f"n{i}" for i in range(3, 4 + 2 * n))
     last = 4 + 2 * n - 1
     return Netlist(
         width=1,
         nets=nets,
-        gates=tuple(sorted(gates, key=lambda g: g.id) if by_id else gates),
+        gates=tuple(gates),
         a=(0,),
         b=(1,),
         cin=2,
@@ -295,21 +308,6 @@ def test_topo_order_matches_a_min_heap_kahn_reference(nl):
     assert topo_order(nl) == kahn_reference(nl)
 
 
-def test_topo_order_of_gates_listed_out_of_id_order():
-    # no gate reads a later position, yet gate 0 waits for gate 1
-    nl = _raw_width1(
-        gates=[
-            Gate(1, CellKind.INV, (0,), 3),
-            Gate(2, CellKind.XOR2, (0, 1), 4),
-            Gate(0, CellKind.AND2, (3, 2), 5),
-        ],
-        nets_extra=[Net(3, "n3"), Net(4, "cout"), Net(5, "sum[0]")],
-        sums=(5,),
-        cout=4,
-    )
-    assert topo_order(nl) == kahn_reference(nl) == (1, 0, 2)
-
-
 def test_topo_order_of_built_and_parsed_netlists_is_id_order():
     for name, spec in PRESETS.items():
         nl = compose(spec)
@@ -320,8 +318,8 @@ def test_topo_order_of_built_and_parsed_netlists_is_id_order():
 
 def test_topo_order_rejects_a_gate_reading_its_own_output():
     nl = _raw_width1(
-        gates=[Gate(0, CellKind.AND2, (3, 0), 3), Gate(1, CellKind.OR2, (3, 1), 4)],
-        nets_extra=[Net(3, "sum[0]"), Net(4, "cout")],
+        gates=[Gate(CellKind.AND2, (3, 0), 3), Gate(CellKind.OR2, (3, 1), 4)],
+        nets_extra=["sum[0]", "cout"],
         sums=(3,),
         cout=4,
     )
@@ -355,36 +353,36 @@ def validate_reference(nl):
     nnets = len(nl.nets)
 
     drivers = {}
-    for g in nl.gates:
+    for k, g in enumerate(nl.gates):
         if len(g.inputs) != ARITY[g.kind]:
-            out.append(Violation("ArityMismatch", f"g{g.id} {g.kind.value}"))
+            out.append(Violation("ArityMismatch", f"g{k} {g.kind.value}"))
         for nid in g.inputs:
             if not (0 <= nid < nnets):
-                out.append(Violation("DanglingInput", f"g{g.id} reads net {nid}"))
-        drivers.setdefault(g.output, []).append(g.id)
+                out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
+        drivers.setdefault(g.output, []).append(k)
 
     pis = set(nl.primary_inputs())
     for nid, gids in drivers.items():
         if len(gids) > 1:
-            out.append(Violation("MultipleDrivers", nl.net_name(nid)))
+            out.append(Violation("MultipleDrivers", nl.nets[nid]))
         if nid in pis:
-            out.append(Violation("DrivenInput", nl.net_name(nid)))
+            out.append(Violation("DrivenInput", nl.nets[nid]))
 
     for nid in nl.primary_outputs():
         if nid not in drivers:
-            out.append(Violation("UndrivenOutput", nl.net_name(nid)))
+            out.append(Violation("UndrivenOutput", nl.nets[nid]))
 
-    readers = {n.id: [] for n in nl.nets}
-    for g in nl.gates:
+    readers = {nid: [] for nid in range(nnets)}
+    for k, g in enumerate(nl.gates):
         for nid in g.inputs:
             if nid in readers:
-                readers[nid].append(g.id)
+                readers[nid].append(k)
     observable = set(nl.primary_outputs())
-    for n in nl.nets:
-        if n.id in pis or n.id in observable:
+    for nid, name in enumerate(nl.nets):
+        if nid in pis or nid in observable:
             continue
-        if not readers.get(n.id):
-            out.append(Violation("DanglingNet", n.name))
+        if not readers.get(nid):
+            out.append(Violation("DanglingNet", name))
 
     if len(kahn_reference(nl)) != len(nl.gates):
         out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
@@ -396,8 +394,8 @@ _MUTATIONS = ("swap", "dup_output", "drive_input", "arity", "out_of_range", "dro
 
 @st.composite
 def mutilated_netlists(draw):
-    """A small built netlist with 1-4 structural faults that keep gate ids
-    dense and gate outputs inside the net table."""
+    """A small built netlist with 1-4 structural faults that keep gate
+    outputs inside the net table."""
     nl = compose(draw(st.sampled_from(["rca:1", "rca:2", "ccla:2", "scbcla:3", "rca:1,ccla:2"])))
     gates = list(nl.gates)
     nnets, ngates = len(nl.nets), len(gates)
