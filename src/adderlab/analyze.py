@@ -64,26 +64,26 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
     if not nl.gates:
         return 0.0, ()
     caps = _net_caps(nl, lib)
-    driver = nl.driver
+    off = nl.offset
     arrival = [0.0] * len(nl.nets)
     pred: dict[int, int] = {}
     for gid in topo_order(nl):
         g = nl.gates[gid]
         cell = lib.cell(g.kind)
-        delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * caps[g.output]
+        delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * caps[off + gid]
         best_t = -1.0
         best_pred = -1
         for nid in g.inputs:
             t = arrival[nid]
-            p = driver.get(nid, -1)
+            p = nid - off  # negative for a primary input
             if t > best_t or (t == best_t and p < best_pred):
                 best_t, best_pred = t, p
-        arrival[g.output] = best_t + delay
+        arrival[off + gid] = best_t + delay
         pred[gid] = best_pred
     end_t = -1.0
     end_gid = -1
     for nid in nl.primary_outputs():
-        gid = driver.get(nid, -1)
+        gid = nid - off
         if gid < 0:
             continue
         t = arrival[nid]
@@ -93,7 +93,7 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
         return 0.0, ()
     path: list[int] = []
     gid = end_gid
-    while gid != -1:
+    while gid >= 0:
         path.append(gid)
         gid = pred[gid]
     path.reverse()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .netlist import ARITY, CellKind, Gate, Netlist, input_layout, validate
+from .netlist import ARITY, CellKind, Gate, Netlist, input_names, validate
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -29,9 +29,9 @@ from .netlist import ARITY, CellKind, Gate, Netlist, input_layout, validate
 def to_text(nl: Netlist) -> str:
     names = nl.nets
     lines = [f"width {nl.width}"]
-    for k, g in enumerate(nl.gates):
+    for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):
         ins = " ".join([names[nid] for nid in g.inputs])
-        lines.append(f"g{k} {g.kind.value} {ins} -> {names[g.output]}")
+        lines.append(f"g{k} {g.kind.value} {ins} -> {out}")
     outs = [names[nid] for nid in nl.primary_outputs()]
     lines.append("outputs " + " ".join(outs))
     return "\n".join(lines) + "\n"
@@ -56,7 +56,7 @@ def from_text(text: str) -> Netlist:
     if width < 1:
         raise ParseError("width must be >= 1", line=1)
 
-    names, a, b, cin = input_layout(width)
+    names = input_names(width)
     by_name = {name: nid for nid, name in enumerate(names)}
 
     gates: list[Gate] = []
@@ -88,7 +88,7 @@ def from_text(text: str) -> Netlist:
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
         by_name[out_name] = len(names)
-        gates.append(Gate(kind, ins, len(names)))
+        gates.append(Gate(kind, ins))
         names.append(out_name)
 
     if outputs_line is None:
@@ -131,9 +131,6 @@ def from_text(text: str) -> Netlist:
         width=width,
         nets=tuple(names),
         gates=tuple(gates),
-        a=a,
-        b=b,
-        cin=cin,
         sums=tuple(sums),
         cout=by_name["cout"],
         carries=tuple(carries),
@@ -198,9 +195,9 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
         if nid not in named:
             lines.append(f"  wire {name};")
     lines.append("")
-    for k, g in enumerate(nl.gates):
+    for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):
         prim = _PRIMITIVE[g.kind]
-        args = ", ".join([names[g.output]] + [names[nid] for nid in g.inputs])
+        args = ", ".join([out] + [names[nid] for nid in g.inputs])
         lines.append(f"  {prim} g{k} ({args});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

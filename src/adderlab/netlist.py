@@ -2,10 +2,11 @@
 
 A netlist is a DAG of single-output gates drawn from a fixed primitive
 set (INV, AND2-4, OR2-4, XOR2). A net's id is its position in the
-net-name table and a gate's id is its position in the gate list; the
-adder-shaped primary interface is fixed at construction time:
-inputs a[0..w), b[0..w), cin and outputs sum[0..w), cout, plus any
-exposed lookahead-carry nets (named c<k> for the carry into bit k).
+net-name table and a gate's id is its position in the gate list. The
+table is positional: the first 2w+1 nets are the primary inputs
+a[0..w), b[0..w) and cin, then gate k drives net 2w+1+k. The primary
+outputs are sum[0..w), cout, plus any exposed lookahead-carry nets
+(named c<k> for the carry into bit k).
 
 Construction goes through :class:`NetlistBuilder`, which is append-only.
 ``finish`` assigns the canonical output names, validates the structure
@@ -19,7 +20,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -70,11 +70,11 @@ ARITY: dict[CellKind, int] = {
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive instance: ordered input net ids, single output net."""
+    """One primitive instance: its kind and ordered input net ids. Gate k
+    of a netlist drives net ``Netlist.offset + k``."""
 
     kind: CellKind
     inputs: tuple[int, ...]
-    output: int
 
 
 @dataclass(frozen=True)
@@ -101,29 +101,39 @@ class Netlist:
     """A frozen gate-level adder netlist.
 
     ``nets`` holds the net names and ``gates`` the gates; a net's or
-    gate's id is its position there. ``a``, ``b``,
-    ``cin`` hold primary-input net ids; ``sums``, ``cout`` and
-    ``carries`` hold primary-output net ids. ``carries`` lists exposed
-    lookahead carries in ascending bit order (their names encode the
-    global carry index, c<k> = carry into bit k).
+    gate's id is its position there. The primary inputs ``a``, ``b`` and
+    ``cin`` are the first ``offset`` nets (see :func:`input_layout`) and
+    gate k drives net ``offset + k``. ``sums``, ``cout`` and ``carries``
+    hold primary-output net ids. ``carries`` lists exposed lookahead
+    carries in ascending bit order (their names encode the global carry
+    index, c<k> = carry into bit k).
     """
 
     width: int
     nets: tuple[str, ...]
     gates: tuple[Gate, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    cin: int
     sums: tuple[int, ...]
     cout: int
     carries: tuple[int, ...] = ()
 
     # -- derived views -----------------------------------------------------
 
-    @cached_property
-    def driver(self) -> dict[int, int]:
-        """Map net id -> driving gate id (primary inputs have no entry)."""
-        return {g.output: k for k, g in enumerate(self.gates)}
+    @property
+    def offset(self) -> int:
+        """Id of the net gate 0 drives: the number of primary inputs."""
+        return 2 * self.width + 1
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        return input_layout(self.width)[0]
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return input_layout(self.width)[1]
+
+    @property
+    def cin(self) -> int:
+        return input_layout(self.width)[2]
 
     def primary_inputs(self) -> tuple[int, ...]:
         return self.a + self.b + (self.cin,)
@@ -132,11 +142,15 @@ class Netlist:
         return self.sums + (self.cout,) + self.carries
 
 
-def input_layout(width: int) -> tuple[list[str], tuple[int, ...], tuple[int, ...], int]:
-    """Net names and ids of the primary inputs, which every netlist lists
-    first: a[i] is net i, b[i] is net width+i and cin is net 2*width."""
-    names = [f"a[{i}]" for i in range(width)] + [f"b[{i}]" for i in range(width)] + ["cin"]
-    return names, tuple(range(width)), tuple(range(width, 2 * width)), 2 * width
+def input_layout(width: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Ids of the primary inputs, which every netlist lists first: a[i] is
+    net i, b[i] is net width+i and cin is net 2*width."""
+    return tuple(range(width)), tuple(range(width, 2 * width)), 2 * width
+
+
+def input_names(width: int) -> list[str]:
+    """Names of the primary-input nets in id order."""
+    return [f"a[{i}]" for i in range(width)] + [f"b[{i}]" for i in range(width)] + ["cin"]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +171,8 @@ class NetlistBuilder:
         if not isinstance(width, int) or width < 1:
             raise InvalidWidth(f"adder width must be a positive integer, got {width!r}")
         self.width = width
-        self._nets, self.a, self.b, self.cin = input_layout(width)
+        self._nets = input_names(width)
+        self.a, self.b, self.cin = input_layout(width)
         self._gates: list[Gate] = []
 
     @property
@@ -174,7 +189,7 @@ class NetlistBuilder:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
             raise DanglingInput(f"no net with id {bad}")
         self._nets.append(f"n{len(self._gates)}")
-        self._gates.append(Gate(kind, tuple(inputs), nnets))
+        self._gates.append(Gate(kind, tuple(inputs)))
         return nnets
 
     def finish(
@@ -191,11 +206,19 @@ class NetlistBuilder:
         """
         if len(sums) != self.width:
             raise InvalidNetlist([Violation("SumCount", f"{len(sums)} of {self.width}")])
+        carries = tuple(sorted(carries))
+        bad = []
+        for i, (k, _) in enumerate(carries):
+            if not 0 < k < self.width:
+                bad.append(Violation("CarryIndex", f"c{k} at width {self.width}"))
+            elif i and k == carries[i - 1][0]:
+                bad.append(Violation("CarryIndex", f"c{k} given twice"))
+        if bad:
+            raise InvalidNetlist(bad)
         rename: dict[int, str] = {}
         for i, nid in enumerate(sums):
             rename[nid] = f"sum[{i}]"
         rename[cout] = "cout"
-        carries = tuple(sorted(carries))
         for k, nid in carries:
             rename[nid] = f"c{k}"
         if len(rename) != len(sums) + 1 + len(carries):
@@ -208,9 +231,6 @@ class NetlistBuilder:
             width=self.width,
             nets=tuple(nets),
             gates=tuple(self._gates),
-            a=self.a,
-            b=self.b,
-            cin=self.cin,
             sums=tuple(sums),
             cout=cout,
             carries=tuple(nid for _, nid in carries),
@@ -234,24 +254,23 @@ def new_netlist(width: int) -> NetlistBuilder:
 def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
-    Checks: port ids inside the net table (when one is not, only those
-    are reported), arity, dangling gate inputs, gate outputs inside the
-    net table, single driver per net, primary inputs undriven, primary
-    outputs driven, no dangling internal nets, acyclicity.
+    Checks: one net per primary input and gate, port ids inside the net
+    table (when either fails, only that is reported), arity, dangling
+    gate inputs, primary outputs driven by gates, no dangling gate
+    outputs, acyclicity.
     """
-    nnets = len(nl.nets)
-    bad = [
-        (f"{v}[{i}]", nid)
-        for v, ids in (("a", nl.a), ("b", nl.b), ("sum", nl.sums), ("carries", nl.carries))
-        for i, nid in enumerate(ids)
-        if not 0 <= nid < nnets
-    ]
-    bad += [(p, nid) for p, nid in (("cin", nl.cin), ("cout", nl.cout)) if not 0 <= nid < nnets]
+    nnets, off = len(nl.nets), nl.offset
+    if nnets != off + len(nl.gates):
+        subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
+        return [Violation("NetCount", subject)]
+    bad = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums) if not 0 <= nid < nnets]
+    bad += [(f"carries[{i}]", nid) for i, nid in enumerate(nl.carries) if not 0 <= nid < nnets]
+    if not 0 <= nl.cout < nnets:
+        bad.append(("cout", nl.cout))
     if bad:
         return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
 
     out: list[Violation] = []
-    drivers = [0] * nnets
     read = bytearray(nnets)
     for k, g in enumerate(nl.gates):
         ins = g.inputs
@@ -262,31 +281,14 @@ def validate(nl: Netlist) -> list[Violation]:
                 read[nid] = 1
             else:
                 out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
-        if 0 <= g.output < nnets:
-            drivers[g.output] += 1
-        else:
-            out.append(Violation("DanglingOutput", f"g{k} drives net {g.output}"))
-
-    pis = set(nl.primary_inputs())
-    if max(drivers, default=0) > 1 or any(drivers[nid] for nid in pis):
-        # rare: name offending nets in the order their first driver appears
-        for nid in dict.fromkeys(g.output for g in nl.gates if 0 <= g.output < nnets):
-            if drivers[nid] > 1:
-                out.append(Violation("MultipleDrivers", nl.nets[nid]))
-            if nid in pis:
-                out.append(Violation("DrivenInput", nl.nets[nid]))
 
     for nid in nl.primary_outputs():
-        if not drivers[nid]:
+        if nid < off:
             out.append(Violation("UndrivenOutput", nl.nets[nid]))
-
-    for nid in nl.primary_outputs():
         read[nid] = 1
-    if 0 in read:
+    if 0 in read[off:]:
         out.extend(
-            Violation("DanglingNet", name)
-            for nid, name in enumerate(nl.nets)
-            if not read[nid] and nid not in pis
+            Violation("DanglingNet", nl.nets[nid]) for nid in range(off, nnets) if not read[nid]
         )
 
     try:
@@ -303,22 +305,22 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     the result is deterministic for any valid netlist. Raises
     CycleDetected if some gates never become ready.
 
-    When the gate outputs ascend and every gate reads only nets below
-    its own output (as in every netlist ``NetlistBuilder`` and
-    ``from_text`` build), a driven net that gate k reads comes from a
-    gate below k, so Kahn's order is 0..n-1: once gates 0..k-1 are
-    popped, gate k is ready and the smallest id left. One pass checks
-    that and skips the heap.
+    When every gate reads only nets below its own output (as in every
+    netlist ``NetlistBuilder`` and ``from_text`` build), a gate net that
+    gate k reads comes from a gate below k, so Kahn's order is 0..n-1:
+    once gates 0..k-1 are popped, gate k is ready and the smallest id
+    left. One pass checks that and skips the heap.
     """
     gates = nl.gates
-    if _in_order(gates):
+    if _in_order(nl):
         return tuple(range(len(gates)))
-    driver = nl.driver
+    off = nl.offset
+    end = off + len(gates)
     pending = [0] * len(gates)
     consumers: list[list[int]] = [[] for _ in gates]
     ready: list[int] = []  # filled in ascending order, so already a heap
     for k, g in enumerate(gates):
-        deps = [driver[nid] for nid in g.inputs if nid in driver]
+        deps = [nid - off for nid in g.inputs if off <= nid < end]
         pending[k] = len(deps)
         for d in deps:
             consumers[d].append(k)
@@ -337,17 +339,14 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _in_order(gates: tuple[Gate, ...]) -> bool:
-    """Whether gate outputs ascend and each gate reads only nets below its output."""
-    prev = -1
-    for g in gates:
-        out = g.output
-        if out <= prev:
-            return False
+def _in_order(nl: Netlist) -> bool:
+    """Whether each gate reads only nets below its own output."""
+    out = nl.offset
+    for g in nl.gates:
         for nid in g.inputs:
             if nid >= out:
                 return False
-        prev = out
+        out += 1
     return True
 
 

@@ -194,6 +194,7 @@ def _eval_packed(
         values[nid] = col
     if order is None:
         order = topo_order(nl)
+    off = nl.offset
     for gid in order:
         g = nl.gates[gid]
         kind = g.kind
@@ -209,7 +210,7 @@ def _eval_packed(
             out = values[g.inputs[0]]
             for nid in g.inputs[1:]:
                 out |= values[nid]
-        values[g.output] = out
+        values[off + gid] = out
     return values
 
 

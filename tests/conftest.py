@@ -57,5 +57,5 @@ def flip_gate_kind(nl: Netlist, gate_id: int) -> Netlist:
     """Return a copy of ``nl`` with one gate's kind swapped per FLIP."""
     gates = list(nl.gates)
     g = gates[gate_id]
-    gates[gate_id] = Gate(FLIP[g.kind], g.inputs, g.output)
+    gates[gate_id] = Gate(FLIP[g.kind], g.inputs)
     return dataclasses.replace(nl, gates=tuple(gates))

@@ -5,6 +5,7 @@ library constants or frozen from reference power/delay/area rows (see
 data/table1.csv).
 """
 
+import dataclasses
 import json
 import math
 
@@ -72,7 +73,7 @@ def _inv_chain():
 def test_net_capacitance_counts_sink_pins_and_output_load():
     nl = _inv_chain()
     assert net_capacitance(nl, LIB, nl.a[0]) == pytest.approx(1.0 + 1.2)  # INV + AND2 pins
-    assert net_capacitance(nl, LIB, nl.gates[0].output) == pytest.approx(1.0)
+    assert net_capacitance(nl, LIB, nl.offset) == pytest.approx(1.0)  # gate 0's net
     assert net_capacitance(nl, LIB, nl.sums[0]) == pytest.approx(4.0)  # primary output FO4
 
 
@@ -100,9 +101,6 @@ def test_critical_path_empty_netlist():
         width=1,
         nets=("a[0]", "b[0]", "cin"),
         gates=(),
-        a=(0,),
-        b=(1,),
-        cin=2,
         sums=(0,),
         cout=1,
     )
@@ -119,12 +117,43 @@ def test_preset_delays_frozen():
     assert all(delays[d] < delays["rca32"] for d in delays if d != "rca32")
 
 
+def _flat_library(delay_ns):
+    """LIB with every cell taking ``delay_ns`` whatever its load."""
+    cells = {
+        kind: dataclasses.replace(cell, intrinsic_delay_ns=delay_ns, load_delay_ns_per_ff=0.0)
+        for kind, cell in LIB.cells.items()
+    }
+    return dataclasses.replace(LIB, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "spec, delay_ns, delay, path",
+    [
+        (
+            PRESETS["design1"],
+            0.1,
+            2.4,
+            (0, 6, 8, 24, 25, 42, 43, 60, 61, 78, 79, 96, 97, 114, 115, 132, 133, 150, 151)
+            + (168, 169, 179, 180, 189),
+        ),
+        ("scbcla:3x2", 0.1, 0.8, (2, 6, 9, 28, 29, 31, 32, 33)),
+        (PRESETS["design1"], 0.0, 0.0, (0, 5)),
+    ],
+    ids=["design1-unit", "scbcla-unit", "design1-zero"],
+)
+def test_critical_path_tie_breaks_frozen(spec, delay_ns, delay, path):
+    # with equal cell delays most gate inputs tie; the smaller driver id wins
+    got_delay, got_path = critical_path(compose(spec), _flat_library(delay_ns))
+    assert got_delay == pytest.approx(delay)
+    assert got_path == path
+
+
 def test_critical_path_is_a_connected_gate_sequence():
     nl = compose(PRESETS["design5"])
     delay, path = critical_path(nl, LIB)
     assert delay > 0
     for up, down in zip(path, path[1:]):
-        assert nl.gates[up].output in nl.gates[down].inputs
+        assert nl.offset + up in nl.gates[down].inputs
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_pg_stage_layout_and_values():
     nl = compose("ccla:2")
     # per bit: AND2 for generate, then XOR2 for propagate
     assert nl.gates[0].kind == CellKind.AND2 and nl.gates[1].kind == CellKind.XOR2
-    g0, p0 = nl.gates[0].output, nl.gates[1].output
+    g0, p0 = nl.offset, nl.offset + 1
     for a, b, cin in all_inputs(2):
         _, _, values = evaluate(nl, InputVector(a, b, cin))
         assert values[g0] == (a & 1) & (b & 1)

@@ -15,9 +15,32 @@ FULL_ADDER_TEXT = (
     "outputs sum[0] cout\n"
 )
 
+FULL_ADDER_VERILOG = (
+    "module adder (a, b, cin, sum, cout);\n"
+    "  input [0:0] a;\n"
+    "  input [0:0] b;\n"
+    "  input cin;\n"
+    "  output [0:0] sum;\n"
+    "  output cout;\n"
+    "  wire n0;\n"
+    "  wire n2;\n"
+    "  wire n3;\n"
+    "\n"
+    "  xor g0 (n0, a[0], b[0]);\n"
+    "  xor g1 (sum[0], n0, cin);\n"
+    "  and g2 (n2, a[0], b[0]);\n"
+    "  and g3 (n3, n0, cin);\n"
+    "  or g4 (cout, n2, n3);\n"
+    "endmodule\n"
+)
+
 
 def test_full_adder_text_frozen():
     assert to_text(compose("rca:1")) == FULL_ADDER_TEXT
+
+
+def test_full_adder_verilog_frozen():
+    assert to_verilog(compose("rca:1")) == FULL_ADDER_VERILOG
 
 
 def test_round_trip_is_byte_identical_for_every_preset():
@@ -31,9 +54,8 @@ def test_round_trip_preserves_structure():
     nl = compose("rca:2,scbcla:3x2")
     again = from_text(to_text(nl))
     assert again.width == nl.width
-    assert [(g.kind, g.inputs, g.output) for g in again.gates] == [
-        (g.kind, g.inputs, g.output) for g in nl.gates
-    ]
+    assert again.gates == nl.gates
+    assert again.nets == nl.nets
     assert again.carries == nl.carries
 
 

@@ -50,7 +50,7 @@ def test_add_gate_assigns_sequential_ids_and_fresh_nets():
     n1 = b.add_gate(CellKind.INV, [n0])
     assert (n0, n1) == (3, 4)
     assert b.gate_count == 2
-    assert b._gates[1] == Gate(CellKind.INV, (3,), 4)
+    assert b._gates[1] == Gate(CellKind.INV, (3,))
 
 
 def test_add_gate_checks_arity():
@@ -113,73 +113,75 @@ def test_finish_rejects_output_with_no_driver():
     ]
 
 
+def _ripple_by_hand(width):
+    """A ripple adder built gate by gate; also returns the net of each
+    propagate p<i> and each internal carry c<i>."""
+    b = new_netlist(width)
+    carry, sums, named = b.cin, [], {}
+    for i in range(width):
+        p = named[f"p{i}"] = b.add_gate(CellKind.XOR2, [b.a[i], b.b[i]])
+        sums.append(b.add_gate(CellKind.XOR2, [p, carry]))
+        g = b.add_gate(CellKind.AND2, [b.a[i], b.b[i]])
+        t = b.add_gate(CellKind.AND2, [p, carry])
+        carry = named[f"c{i + 1}"] = b.add_gate(CellKind.OR2, [g, t])
+    return b, sums, carry, named
+
+
+@pytest.mark.parametrize(
+    "width, carries, subject",
+    [
+        (1, [(5, "p0")], "c5 at width 1"),
+        (2, [(1, "c1"), (1, "p1")], "c1 given twice"),
+        (2, [(0, "c1")], "c0 at width 2"),
+    ],
+    ids=["beyond-width", "repeated", "zero"],
+)
+def test_finish_rejects_carry_indices_the_text_format_cannot_hold(width, carries, subject):
+    b, sums, cout, named = _ripple_by_hand(width)
+    with pytest.raises(InvalidNetlist) as exc:
+        b.finish(sums, cout, carries=[(k, named[net]) for k, net in carries])
+    assert exc.value.violations == [Violation("CarryIndex", subject)]
+
+
 def test_generated_presets_validate_clean():
     for spec in ("rca:4", "ccla:3,rca:1", "rca:2,scbcla:3x2"):
         assert validate(compose(spec)) == []
 
 
 def test_validate_reports_undriven_output():
+    # sum[3] now names cin, a primary input, and the gate that drove it is left unread
     nl = compose("ccla:4")
-    drv = nl.driver[nl.sums[3]]
-    gates = nl.gates[:drv] + nl.gates[drv + 1 :]
-    broken = dataclasses.replace(nl, gates=gates)
-    kinds = {(v.kind, v.subject) for v in validate(broken)}
-    assert ("UndrivenOutput", "sum[3]") in kinds
+    broken = dataclasses.replace(nl, sums=nl.sums[:3] + (nl.cin,))
+    assert validate(broken) == [
+        Violation("UndrivenOutput", "cin"),
+        Violation("DanglingNet", "sum[3]"),
+    ]
 
 
 def _raw_width1(gates, nets_extra, sums, cout):
     nets = ("a[0]", "b[0]", "cin") + tuple(nets_extra)
-    return Netlist(
-        width=1, nets=nets, gates=tuple(gates), a=(0,), b=(1,), cin=2, sums=sums, cout=cout
-    )
-
-
-def test_validate_reports_multiple_drivers():
-    nl = _raw_width1(
-        gates=[
-            Gate(CellKind.AND2, (0, 1), 3),
-            Gate(CellKind.OR2, (0, 1), 3),
-            Gate(CellKind.XOR2, (0, 1), 4),
-        ],
-        nets_extra=["sum[0]", "cout"],
-        sums=(3,),
-        cout=4,
-    )
-    assert ("MultipleDrivers", "sum[0]") in {(v.kind, v.subject) for v in validate(nl)}
-
-
-def test_validate_reports_driven_primary_input():
-    nl = _raw_width1(
-        gates=[
-            Gate(CellKind.AND2, (1, 2), 0),
-            Gate(CellKind.OR2, (1, 2), 3),
-            Gate(CellKind.XOR2, (1, 2), 4),
-        ],
-        nets_extra=["sum[0]", "cout"],
-        sums=(3,),
-        cout=4,
-    )
-    assert "DrivenInput" in {v.kind for v in validate(nl)}
+    return Netlist(width=1, nets=nets, gates=tuple(gates), sums=sums, cout=cout)
 
 
 def test_validate_reports_dangling_net():
     nl = _raw_width1(
         gates=[
-            Gate(CellKind.OR2, (0, 1), 3),
-            Gate(CellKind.XOR2, (0, 2), 4),
+            Gate(CellKind.AND2, (0, 1)),  # drives the first gate net, n9, which nobody reads
+            Gate(CellKind.OR2, (0, 1)),
+            Gate(CellKind.XOR2, (0, 2)),
         ],
-        nets_extra=["sum[0]", "cout", "n9"],
-        sums=(3,),
-        cout=4,
+        nets_extra=["n9", "sum[0]", "cout"],
+        sums=(4,),
+        cout=5,
     )
-    assert ("DanglingNet", "n9") in {(v.kind, v.subject) for v in validate(nl)}
+    assert validate(nl) == [Violation("DanglingNet", "n9")]
 
 
 def test_cycle_is_reported_and_topo_raises():
     nl = _raw_width1(
         gates=[
-            Gate(CellKind.AND2, (4, 0), 3),
-            Gate(CellKind.OR2, (3, 1), 4),
+            Gate(CellKind.AND2, (4, 0)),
+            Gate(CellKind.OR2, (3, 1)),
         ],
         nets_extra=["sum[0]", "cout"],
         sums=(3,),
@@ -190,22 +192,28 @@ def test_cycle_is_reported_and_topo_raises():
         topo_order(nl)
 
 
-def test_validate_reports_a_gate_driving_a_net_outside_the_table():
+@pytest.mark.parametrize(
+    "change, subject",
+    [
+        (lambda nl: {"gates": nl.gates[:-1]}, "15 nets for 9 gates at width 2"),
+        (lambda nl: {"nets": nl.nets + ("n99",)}, "16 nets for 10 gates at width 2"),
+        (lambda nl: {"nets": nl.nets[:-1], "cout": 99}, "14 nets for 10 gates at width 2"),
+    ],
+    ids=["gate-dropped", "net-added", "net-dropped-and-bad-port"],
+)
+def test_validate_reports_a_net_table_that_does_not_match_the_gates(change, subject):
     nl = compose("rca:2")
-    gates = (dataclasses.replace(nl.gates[0], output=99),) + nl.gates[1:]
-    broken = dataclasses.replace(nl, gates=gates)
-    assert validate(broken) == [Violation("DanglingOutput", "g0 drives net 99")]
+    broken = dataclasses.replace(nl, **change(nl))
+    assert validate(broken) == [Violation("NetCount", subject)]
 
 
 @pytest.mark.parametrize(
     "change, subject",
     [
         (lambda nl: {"cout": 999}, "cout is net 999"),
-        (lambda nl: {"a": (0, 999)}, "a[1] is net 999"),
-        (lambda nl: {"cin": 999}, "cin is net 999"),
         (lambda nl: {"sums": (nl.sums[0], -1)}, "sum[1] is net -1"),
     ],
-    ids=["cout", "a", "cin", "sums"],
+    ids=["cout", "sums"],
 )
 def test_validate_reports_a_port_outside_the_net_table(change, subject):
     nl = compose("rca:2")
@@ -220,16 +228,16 @@ def test_topo_order_follows_dependencies():
     pos = {gid: i for i, gid in enumerate(order)}
     for k, g in enumerate(nl.gates):
         for nid in g.inputs:
-            if nid in nl.driver:
-                assert pos[nl.driver[nid]] < pos[k]
+            if nid >= nl.offset:
+                assert pos[nid - nl.offset] < pos[k]
 
 
 def test_topo_order_is_dependency_driven_not_id_order():
     # gate 0 reads gate 1's output, so 1 must be scheduled first
     nl = _raw_width1(
         gates=[
-            Gate(CellKind.AND2, (4, 1), 3),
-            Gate(CellKind.INV, (0,), 4),
+            Gate(CellKind.AND2, (4, 1)),
+            Gate(CellKind.INV, (0,)),
         ],
         nets_extra=["sum[0]", "cout"],
         sums=(3,),
@@ -250,7 +258,8 @@ def test_topo_order_breaks_ties_by_gate_id():
 
 def kahn_reference(nl):
     """Kahn's algorithm with a min-heap frontier, rescanning every gate after each pop."""
-    driver = {g.output: k for k, g in enumerate(nl.gates)}
+    first = 2 * nl.width + 1  # gate k drives net first + k
+    driver = {first + k: k for k in range(len(nl.gates))}
     deps = {k: [driver[nid] for nid in g.inputs if nid in driver] for k, g in enumerate(nl.gates)}
     pending = {gid: len(d) for gid, d in deps.items()}
     ready = [gid for gid, n in pending.items() if n == 0]
@@ -275,28 +284,27 @@ _KIND_OF_ARITY = {1: CellKind.INV, 2: CellKind.AND2, 3: CellKind.AND3, 4: CellKi
 def shuffled_dags(draw):
     """A width-1 netlist of n gates built in dependency order, then moved
     to shuffled positions (ids) or left in build order; some inputs read
-    an undriven net (id 3 + n)."""
+    a net outside the table (id 3 + n)."""
     n = draw(st.integers(1, 12))
     ids = draw(st.permutations(range(n)))
     by_id = draw(st.booleans())
     gates = []
     for k in range(n):
-        # position k may read primary inputs, the undriven net, or earlier outputs
-        sources = [0, 1, 2, 3 + n] + [4 + n + j for j in range(k)]
-        inputs = draw(st.lists(st.sampled_from(sources), min_size=1, max_size=4))
-        gates.append(Gate(_KIND_OF_ARITY[len(inputs)], tuple(inputs), 4 + n + k))
+        # built gate k drives net 3 + k and may read primary inputs, the
+        # net outside the table, or earlier outputs
+        sources = [0, 1, 2, 3 + n] + [3 + j for j in range(k)]
+        gates.append(draw(st.lists(st.sampled_from(sources), min_size=1, max_size=4)))
     if by_id:
-        gates = [gates[ids.index(j)] for j in range(n)]
-    nets = ("a[0]", "b[0]", "cin")
-    nets += tuple(f"n{i}" for i in range(3, 4 + 2 * n))
-    last = 4 + 2 * n - 1
+        # built gate k moves to position ids[k], so its net becomes 3 + ids[k]
+        moved = {3 + k: 3 + ids[k] for k in range(n)}
+        gates = [[moved.get(nid, nid) for nid in gates[ids.index(j)]] for j in range(n)]
+    gates = [Gate(_KIND_OF_ARITY[len(ins)], tuple(ins)) for ins in gates]
+    nets = ("a[0]", "b[0]", "cin") + tuple(f"n{k}" for k in range(n))
+    last = 3 + n - 1
     return Netlist(
         width=1,
         nets=nets,
         gates=tuple(gates),
-        a=(0,),
-        b=(1,),
-        cin=2,
         sums=(last,),
         cout=last,
     )
@@ -318,7 +326,7 @@ def test_topo_order_of_built_and_parsed_netlists_is_id_order():
 
 def test_topo_order_rejects_a_gate_reading_its_own_output():
     nl = _raw_width1(
-        gates=[Gate(CellKind.AND2, (3, 0), 3), Gate(CellKind.OR2, (3, 1), 4)],
+        gates=[Gate(CellKind.AND2, (3, 0)), Gate(CellKind.OR2, (3, 1))],
         nets_extra=["sum[0]", "cout"],
         sums=(3,),
         cout=4,
@@ -348,9 +356,11 @@ def test_arity_table_covers_every_kind():
 
 def validate_reference(nl):
     """``validate`` as it was before the one-pass walk, with the readers map
-    it read inlined and the cycle check done by ``kahn_reference``."""
+    it read inlined, the drivers taken from gate positions and the cycle
+    check done by ``kahn_reference``."""
     out = []
     nnets = len(nl.nets)
+    first = 2 * nl.width + 1  # gate k drives net first + k
 
     drivers = {}
     for k, g in enumerate(nl.gates):
@@ -359,15 +369,9 @@ def validate_reference(nl):
         for nid in g.inputs:
             if not (0 <= nid < nnets):
                 out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
-        drivers.setdefault(g.output, []).append(k)
+        drivers.setdefault(first + k, []).append(k)
 
-    pis = set(nl.primary_inputs())
-    for nid, gids in drivers.items():
-        if len(gids) > 1:
-            out.append(Violation("MultipleDrivers", nl.nets[nid]))
-        if nid in pis:
-            out.append(Violation("DrivenInput", nl.nets[nid]))
-
+    pis = set(range(first))
     for nid in nl.primary_outputs():
         if nid not in drivers:
             out.append(Violation("UndrivenOutput", nl.nets[nid]))
@@ -389,27 +393,26 @@ def validate_reference(nl):
     return out
 
 
-_MUTATIONS = ("swap", "dup_output", "drive_input", "arity", "out_of_range", "drop_reader", "cycle")
+_MUTATIONS = ("swap", "undriven_output", "arity", "out_of_range", "drop_reader", "cycle")
 
 
 @st.composite
 def mutilated_netlists(draw):
-    """A small built netlist with 1-4 structural faults that keep gate
-    outputs inside the net table."""
+    """A small built netlist with 1-4 structural faults that keep the net
+    table and the port ids as they were."""
     nl = compose(draw(st.sampled_from(["rca:1", "rca:2", "ccla:2", "scbcla:3", "rca:1,ccla:2"])))
-    gates = list(nl.gates)
+    gates, sums = list(nl.gates), list(nl.sums)
     nnets, ngates = len(nl.nets), len(gates)
-    pis = nl.primary_inputs()
+    first = 2 * nl.width + 1  # gate k drives net first + k
+    pis = range(first)
     for _ in range(draw(st.integers(1, 4))):
         what = draw(st.sampled_from(_MUTATIONS))
         i = draw(st.integers(0, ngates - 1))
         g = gates[i]
         ins = list(g.inputs)
         pin = draw(st.integers(0, len(ins) - 1)) if ins else None
-        if what == "dup_output":
-            g = dataclasses.replace(g, output=gates[draw(st.integers(0, ngates - 1))].output)
-        elif what == "drive_input":
-            g = dataclasses.replace(g, output=draw(st.sampled_from(pis)))
+        if what == "undriven_output":
+            sums[draw(st.integers(0, len(sums) - 1))] = draw(st.sampled_from(pis))
         elif what == "arity":  # drop the last input or add one
             grown = ins + [draw(st.integers(0, nnets - 1))]
             g = dataclasses.replace(g, inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
@@ -421,10 +424,10 @@ def mutilated_netlists(draw):
             elif what == "drop_reader":
                 ins[pin] = draw(st.sampled_from(pis))
             else:  # cycle: read the output of this gate or a later one
-                ins[pin] = gates[draw(st.integers(i, ngates - 1))].output
+                ins[pin] = first + draw(st.integers(i, ngates - 1))
             g = dataclasses.replace(g, inputs=tuple(ins))
         gates[i] = g
-    return dataclasses.replace(nl, gates=tuple(gates))
+    return dataclasses.replace(nl, gates=tuple(gates), sums=tuple(sums))
 
 
 @settings(max_examples=300, deadline=None)
