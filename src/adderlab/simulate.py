@@ -99,7 +99,9 @@ def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
     """The first ``count`` vectors of the documented stream for this width."""
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
-    rows = _stream_rows(width, 0, max(count, 0), seed)
+    if count < 0:
+        raise InsufficientVectors(f"vector count must be >= 0, got {count}")
+    rows = _stream_rows(width, 0, count, seed)
     if width <= 64:
         # each operand fits one uint64: slice all rows at once
         words = rows.view(">u8")
@@ -158,21 +160,46 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), nbytes)
 
 
+# (shift, mask) steps of the 8x8 bit-matrix transpose (Hacker's Delight,
+# transpose8): bit 8i+j of a 64-bit word swaps with bit 8j+i
+_TRANSPOSE8 = tuple(
+    (np.uint64(s), np.uint64(m))
+    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
 def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:
     """Rows led by a, b (each MSB first) and cin -> packed column per primary
-    input net. Bits are unpacked ~512 KB at a time, a block the allocator
-    reuses, instead of faulting in a fresh rows x bits matrix per batch."""
+    input net, bit r holding row r.
+
+    About 64 KB of rows at a time are transposed to byte columns, so each
+    little-endian uint64 holds one byte column of 8 consecutive rows (row
+    8q+i in byte i). An 8x8 bit transpose of that word leaves stream bit
+    8k+m of those rows in byte 7-m of byte column k's word, row 8q+i at bit
+    i: one packed byte of that bit's column.
+    """
     w = nl.width
-    nbits = 2 * w + 1
-    step = 8 * max(1, (1 << 16) // nbits)
-    packed = np.empty((-(-len(rows) // 8), nbits), dtype=np.uint8)
-    for at in range(0, len(rows), step):
-        bits = np.unpackbits(rows[at : at + step], axis=1, count=nbits)
-        packed[at // 8 : (at + step) // 8] = np.packbits(bits, axis=0, bitorder="little")
-    pi_order = np.r_[w - 1 : -1 : -1, 2 * w - 1 : w - 1 : -1, 2 * w]
+    nrows, nbytes = rows.shape
+    step = 8 * max(1, (1 << 13) // nbytes)
+    bit = np.r_[w - 1 : -1 : -1, 2 * w - 1 : w - 1 : -1, 2 * w]  # stream bit per input net
+    packed = np.empty((2 * w + 1, -(-nrows // 8)), dtype=np.uint8)
+    for at in range(0, nrows, step):
+        block = rows[at : at + step]
+        n8 = -(-len(block) // 8)
+        cols = np.zeros((nbytes, 8 * n8), dtype=np.uint8)
+        cols[:, : len(block)] = block.T
+        x = cols.view("<u8")
+        for shift, mask in _TRANSPOSE8:
+            t = x >> shift
+            t ^= x
+            t &= mask
+            x ^= t
+            t <<= shift
+            x ^= t
+        packed[:, at // 8 : at // 8 + n8] = cols.reshape(nbytes, n8, 8)[bit >> 3, :, 7 - (bit & 7)]
     return {
         nid: int.from_bytes(col.tobytes(), "little")
-        for nid, col in zip(nl.primary_inputs(), packed.T[pi_order])
+        for nid, col in zip(nl.primary_inputs(), packed)
     }
 
 

@@ -237,6 +237,12 @@ def test_too_few_vectors_rejected():
             verify_random(nl, count=count)
 
 
+def test_random_vectors_rejects_a_negative_count():
+    assert random_vectors(8, 0, 1) == []
+    with pytest.raises(InsufficientVectors):
+        random_vectors(8, -3, 1)
+
+
 def test_run_vectors_is_seed_deterministic():
     nl = compose(PRESETS["design2"])
     a = run_vectors(nl, count=256, seed=7)
@@ -332,19 +338,29 @@ def test_caller_vectors_pack_like_the_stream_they_came_from(width):
     assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == simulate._pack(nl, rows)
 
 
-def test_pack_columns_hold_every_row_across_unpack_slices():
-    # at width 1024 the packer unpacks 248 rows per slice; 501 rows end mid-byte
-    nl = compose("rca:1024")
-    vecs = random_vectors(1024, 501, seed=5)
-    cols = simulate._pack(nl, simulate._stream_rows(1024, 0, len(vecs), 5))
+# rows spanning three ~64 KB packer blocks of stream rows at each width
+_THREE_BLOCKS = {1: 24581, 32: 12293, 64: 8197, 65: 8197, 1024: 749}
 
-    def column(values, bit):
-        return sum(((x >> bit) & 1) << r for r, x in enumerate(values))
 
-    for i in (0, 1, 7, 8, 511, 1023):
-        assert cols[nl.a[i]] == column([v.a for v in vecs], i)
-        assert cols[nl.b[i]] == column([v.b for v in vecs], i)
-    assert cols[nl.cin] == column([v.cin for v in vecs], 0)
+@pytest.mark.parametrize("width", sorted(_THREE_BLOCKS))
+@pytest.mark.parametrize("nrows", [5, 1003, "three-blocks"])
+def test_pack_columns_hold_every_row_across_blocks(width, nrows):
+    # fewer than 8 rows, a last byte only partly filled, and several blocks,
+    # each for stream rows and for rows encoded from caller vectors (at
+    # width 1024 those are 257 bytes wide, the stream's 264)
+    nl = compose(f"rca:{width}")
+    if nrows == "three-blocks":
+        nrows = _THREE_BLOCKS[width]
+        assert nrows % 8 and nrows * 8 * -(-(2 * width + 1) // 64) > 3 * 2**16
+    vecs = random_vectors(width, nrows, seed=5)
+    # row r as 2w+1 digits, a and b MSB first, then cin: the stream's bit order
+    digits = [f"{v.a:0{width}b}{v.b:0{width}b}{v.cin}" for v in reversed(vecs)]
+    by_bit = [int("".join(col), 2) for col in zip(*digits)]
+    expected = dict(zip(nl.a, by_bit[width - 1 :: -1]))
+    expected.update(zip(nl.b, by_bit[2 * width - 1 : width - 1 : -1]))
+    expected[nl.cin] = by_bit[2 * width]
+    assert simulate._pack(nl, simulate._stream_rows(width, 0, nrows, 5)) == expected
+    assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == expected
 
 
 def test_verify_exhaustive_covers_every_input():
