@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import ArchitectureSpec, coerce_arch
 from .cells import CellLibrary, default_library
@@ -130,11 +131,16 @@ def power(nl: Netlist, lib: CellLibrary, stats: ToggleStats) -> float:
 
 def fom(power_uw: float, delay_ns: float, area_um2: float) -> float:
     """Scaled figure of merit: 1e6 over the power-delay-area product."""
-    if power_uw <= 0 or delay_ns <= 0 or area_um2 <= 0:
+    value = 0.0
+    if all(0 < m < math.inf for m in (power_uw, delay_ns, area_um2)):
+        product = power_uw * delay_ns * area_um2  # may underflow to 0 or overflow to inf
+        value = 1e6 / product if product else 0.0
+    if not 0 < value < math.inf:
         raise InvalidMetric(
-            f"fom needs positive metrics, got power={power_uw} delay={delay_ns} area={area_um2}"
+            "fom needs finite positive metrics and result, "
+            f"got power={power_uw} delay={delay_ns} area={area_um2}"
         )
-    return 1e6 / (power_uw * delay_ns * area_um2)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +224,7 @@ def metrics_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Improvement:
+class Improvement(NamedTuple):
     winner: str
     loser: str
     percent: float

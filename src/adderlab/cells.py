@@ -15,6 +15,7 @@ output (the default is a fanout-of-4 load, four INV pins).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import IncompleteLibrary, InvalidCellValue, ParseError
@@ -33,13 +34,12 @@ class CellModel:
     leakage_nw: float
 
     def __post_init__(self):
-        if not self.area_um2 > 0:
-            raise InvalidCellValue(f"{self.kind.value}: area_um2 must be > 0")
-        if not self.input_cap_ff > 0:
-            raise InvalidCellValue(f"{self.kind.value}: input_cap_ff must be > 0")
+        for name in ("area_um2", "input_cap_ff"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidCellValue(f"{self.kind.value}: {name} must be finite and > 0")
         for name in ("intrinsic_delay_ns", "load_delay_ns_per_ff", "leakage_nw"):
-            if getattr(self, name) < 0:
-                raise InvalidCellValue(f"{self.kind.value}: {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidCellValue(f"{self.kind.value}: {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,10 @@ class CellLibrary:
     cells: dict[CellKind, CellModel]
 
     def __post_init__(self):
-        if not self.vdd_v > 0:
-            raise InvalidCellValue("vdd_v must be > 0")
-        if self.output_load_ff < 0:
-            raise InvalidCellValue("output_load_ff must be >= 0")
+        if not 0 < self.vdd_v < math.inf:
+            raise InvalidCellValue("vdd_v must be finite and > 0")
+        if not 0 <= self.output_load_ff < math.inf:
+            raise InvalidCellValue("output_load_ff must be finite and >= 0")
         missing = [k.value for k in CellKind if k not in self.cells]
         if missing:
             raise IncompleteLibrary(f"missing cell models: {', '.join(missing)}")

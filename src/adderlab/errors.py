@@ -71,7 +71,7 @@ class InsufficientVectors(AdderLabError):
 
 
 class InvalidMetric(AdderLabError):
-    """Figure-of-merit inputs must all be positive."""
+    """Figure-of-merit inputs and result must all be finite and positive."""
 
 
 class NothingToCompare(AdderLabError):

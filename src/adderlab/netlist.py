@@ -20,6 +20,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -68,8 +69,7 @@ ARITY: dict[CellKind, int] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One primitive instance: its kind and ordered input net ids. Gate k
     of a netlist drives net ``Netlist.offset + k``."""
 
@@ -189,7 +189,8 @@ class NetlistBuilder:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
             raise DanglingInput(f"no net with id {bad}")
         self._nets.append(f"n{len(self._gates)}")
-        self._gates.append(Gate(kind, tuple(inputs)))
+        # tuple.__new__ skips the generated Python __new__: one C call per gate
+        self._gates.append(tuple.__new__(Gate, (kind, tuple(inputs))))
         return nnets
 
     def finish(

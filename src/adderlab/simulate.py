@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +57,7 @@ def prng_word(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class InputVector:
+class InputVector(NamedTuple):
     """One applied input combination."""
 
     a: int
@@ -106,16 +107,22 @@ def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
         # each operand fits one uint64: slice all rows at once
         words = rows.view(">u8")
         fields = (_field(words, 0, width), _field(words, width, width), _field(words, 2 * width, 1))
-        return list(map(InputVector, *(f.tolist() for f in fields)))
-    step = rows.shape[1]
-    spare = 8 * step - (2 * width + 1)
-    mask = (1 << width) - 1
-    raw = rows.tobytes()
-    out: list[InputVector] = []
-    for at in range(0, len(raw), step):
-        top = int.from_bytes(raw[at : at + step], "big") >> spare
-        out.append(InputVector(a=top >> (width + 1), b=(top >> 1) & mask, cin=top & 1))
-    return out
+        cols = [f.tolist() for f in fields]
+    else:
+        step = rows.shape[1]
+        spare = 8 * step - (2 * width + 1)
+        mask = (1 << width) - 1
+        raw = rows.tobytes()
+        tops = [
+            int.from_bytes(raw[at : at + step], "big") >> spare for at in range(0, len(raw), step)
+        ]
+        cols = [
+            [t >> (width + 1) for t in tops],
+            [(t >> 1) & mask for t in tops],
+            [t & 1 for t in tops],
+        ]
+    # tuple.__new__ skips the generated Python __new__: one C call per vector
+    return list(map(tuple.__new__, repeat(InputVector, count), zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from adderlab import (
     report_json,
     run_vectors,
 )
+from adderlab.analyze import Improvement
 from adderlab.errors import InvalidMetric, NothingToCompare
 
 from conftest import TABLE1_ROWS
@@ -224,7 +225,18 @@ def test_fom_definition():
     assert fom(1.0, 1.0, 1.0) == pytest.approx(1e6)
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0, 1, 1),
+        (1, -2, 1),
+        (1, 1, 0),
+        (math.nan, 1, 1),
+        (math.inf, 1, 1),
+        (1e-300, 1e-300, 1e-300),
+        (1e200, 1e200, 1e200),
+    ],
+)
 def test_fom_rejects_nonpositive_inputs(bad):
     with pytest.raises(InvalidMetric):
         fom(*bad)
@@ -256,6 +268,10 @@ def test_reference_rows_reproduce_fom_ranking():
 
 def test_reference_rows_reproduce_improvements():
     cmp_ = compare(_table1_reports())
+    assert len(cmp_.improvements) == 15
+    assert all(type(i) is Improvement for i in cmp_.improvements)
+    with pytest.raises(AttributeError):
+        cmp_.improvements[0].percent = 0.0
     pct = {(i.winner, i.loser): i.percent for i in cmp_.improvements}
     assert pct[("design2", "design1")] == pytest.approx(7.484, abs=1e-3)
     assert pct[("design6", "design1")] == pytest.approx(17.864, abs=1e-3)

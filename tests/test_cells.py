@@ -1,6 +1,7 @@
 """Cell library model, JSON round-trip and input validation."""
 
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,27 @@ def test_parse_rejects_nonpositive_area():
     doc["cells"]["XOR2"]["area_um2"] = 0
     with pytest.raises(InvalidCellValue):
         parse_library(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "area_um2",
+        "intrinsic_delay_ns",
+        "load_delay_ns_per_ff",
+        "input_cap_ff",
+        "leakage_nw",
+        "vdd_v",
+        "output_load_ff",
+    ],
+)
+def test_parse_rejects_non_finite_values(field):
+    # json reads NaN and Infinity, so the models must reject them
+    for value in (math.nan, math.inf):
+        doc = _doc()
+        (doc if field in doc else doc["cells"]["AND2"])[field] = value
+        with pytest.raises(InvalidCellValue, match=field):
+            parse_library(json.dumps(doc))
 
 
 def test_model_rejects_negative_delay():

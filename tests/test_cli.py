@@ -165,6 +165,17 @@ def _random_bytes_file(tmp_path):
     return str(path)
 
 
+def test_analyze_rejects_a_non_finite_library_value(tmp_path, capsys):
+    lib = tmp_path / "nan.json"
+    doc = json.loads(serialize_library(default_library()))
+    doc["cells"]["AND2"]["intrinsic_delay_ns"] = float("nan")
+    lib.write_text(json.dumps(doc))
+    assert main(["analyze", "--preset", "design1", "--lib", str(lib)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: InvalidCellValue" in captured.err
+
+
 def test_analyze_rejects_a_library_that_is_not_utf8(tmp_path, capsys):
     lib = _random_bytes_file(tmp_path)
     assert main(["analyze", "--preset", "design1", "--lib", lib]) == 1
@@ -191,6 +202,15 @@ def test_compare_table_mode(tmp_path, capsys):
     assert lines[0] == "design,power_uw,delay_ns,area_um2,fom_scaled"
     assert lines[1].startswith("design6,")
     assert lines[-1].startswith("design1,")
+
+
+def test_compare_table_rejects_a_non_finite_row(tmp_path, capsys):
+    bad = tmp_path / "inf.csv"
+    bad.write_text(TABLE1_CSV.read_text() + "design7,inf,2.0,400.0\n")
+    assert main(["compare", "--table1", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: InvalidMetric" in captured.err
 
 
 def test_compare_table_rejects_missing_columns(tmp_path, capsys):

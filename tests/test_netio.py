@@ -2,7 +2,7 @@
 
 import pytest
 
-from adderlab import PRESETS, compose, from_text, read_text, to_text, to_verilog, write_text
+from adderlab import PRESETS, Gate, compose, from_text, read_text, to_text, to_verilog, write_text
 from adderlab.errors import InvalidWidth, ParseError
 
 FULL_ADDER_TEXT = (
@@ -45,9 +45,11 @@ def test_full_adder_verilog_frozen():
 
 def test_round_trip_is_byte_identical_for_every_preset():
     for name, spec in PRESETS.items():
-        text = to_text(compose(spec))
+        nl = compose(spec)
+        text = to_text(nl)
         again = from_text(text)
         assert to_text(again) == text, name
+        assert all(type(g) is Gate for g in nl.gates + again.gates), name
 
 
 def test_round_trip_preserves_structure():

@@ -88,6 +88,8 @@ def test_finish_names_outputs_and_freezes():
     assert validate(nl) == []
     with pytest.raises(dataclasses.FrozenInstanceError):
         nl.width = 2
+    with pytest.raises(AttributeError):
+        nl.gates[0].kind = CellKind.OR2
 
 
 def test_finish_rejects_wrong_sum_count():
@@ -415,7 +417,7 @@ def mutilated_netlists(draw):
             sums[draw(st.integers(0, len(sums) - 1))] = draw(st.sampled_from(pis))
         elif what == "arity":  # drop the last input or add one
             grown = ins + [draw(st.integers(0, nnets - 1))]
-            g = dataclasses.replace(g, inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
+            g = g._replace(inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
         elif pin is not None:
             if what == "swap":
                 ins[pin] = draw(st.integers(0, nnets - 1))
@@ -425,7 +427,7 @@ def mutilated_netlists(draw):
                 ins[pin] = draw(st.sampled_from(pis))
             else:  # cycle: read the output of this gate or a later one
                 ins[pin] = first + draw(st.integers(i, ngates - 1))
-            g = dataclasses.replace(g, inputs=tuple(ins))
+            g = g._replace(inputs=tuple(ins))
         gates[i] = g
     return dataclasses.replace(nl, gates=tuple(gates), sums=tuple(sums))
 

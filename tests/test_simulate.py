@@ -88,9 +88,12 @@ def stream_reference(width, count, seed):
 
 
 @pytest.mark.parametrize("seed", [0, (1 << 63) + 5, -7])
-@pytest.mark.parametrize("width", [1, 31, 32, 63, 64, 1024])
+@pytest.mark.parametrize("width", [1, 31, 32, 63, 64, 65, 1024])
 def test_random_vectors_match_prng_word_reference(width, seed):
-    assert random_vectors(width, 5, seed) == stream_reference(width, 5, seed)
+    got = random_vectors(width, 5, seed)
+    assert got == stream_reference(width, 5, seed)
+    # a plain tuple would compare equal, so check the record type itself
+    assert all(type(v) is InputVector for v in got)
 
 
 def test_random_vectors_in_range_and_deterministic():
@@ -118,6 +121,12 @@ def test_evaluate_rejects_out_of_range_operands():
     for bad in (InputVector(4, 0, 0), InputVector(0, -1, 0), InputVector(0, 0, 2)):
         with pytest.raises(InvalidWidth):
             evaluate(nl, bad)
+    assert repr(InputVector(4, 0, 0)) == "InputVector(a=4, b=0, cin=0)"
+    with pytest.raises(InvalidWidth) as exc:
+        evaluate(nl, InputVector(4, 0, 0))
+    assert str(exc.value) == "vector InputVector(a=4, b=0, cin=0) does not fit width 2"
+    with pytest.raises(AttributeError):
+        InputVector(4, 0, 0).a = 1
 
 
 # ---------------------------------------------------------------------------
