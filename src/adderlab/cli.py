@@ -87,11 +87,12 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_gen(args) -> int:
     name, spec = _resolve_spec(args)
     nl = compose(spec)
+    module = args.module or re.sub(r"[^A-Za-z0-9_]", "_", name)
+    verilog = to_verilog(nl, module) if args.verilog else None  # a bad name writes nothing
     _emit(to_text(nl), args.out)
-    if args.verilog:
-        module = args.module or re.sub(r"[^A-Za-z0-9_]", "_", name)
+    if verilog:
         with open(args.verilog, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(to_verilog(nl, module))
+            fh.write(verilog)
     return EXIT_OK
 
 
@@ -165,12 +166,18 @@ def _read_metrics_csv(path: str):
         need = {"design", "power_uw", "delay_ns", "area_um2"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ParseError(f"metrics CSV needs columns {', '.join(sorted(need))}")
-        reports = []
+        reports, seen = [], set()
         for row in reader:
+            name = row["design"] or ""
+            if not name.strip():
+                raise ParseError("metrics row has an empty design name", line=reader.line_num)
+            if name in seen:
+                raise ParseError(f"design {name!r} is listed more than once", line=reader.line_num)
+            seen.add(name)
             try:
                 reports.append(
                     metrics_report(
-                        row["design"],
+                        name,
                         float(row["power_uw"]),
                         float(row["delay_ns"]),
                         float(row["area_um2"]),

@@ -25,8 +25,8 @@ class DanglingInput(AdderLabError):
     """Gate input refers to a net id that does not exist."""
 
 
-class CycleDetected(AdderLabError):
-    """Netlist contains a combinational cycle."""
+class GateOrder(AdderLabError):
+    """A gate reads its own net or a later gate's (as every cycle does)."""
 
 
 class InvalidNetlist(AdderLabError):

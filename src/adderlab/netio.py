@@ -39,6 +39,7 @@ def to_text(nl: Netlist) -> str:
 
 _GATE_RE = re.compile(r"^g(\d+) (\S+) (.+) -> (\S+)$")
 _CARRY_RE = re.compile(r"^c(\d+)$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _KINDS = {kind.value: (kind, ARITY[kind]) for kind in CellKind}
 
 
@@ -55,6 +56,8 @@ def from_text(text: str) -> Netlist:
     width = int(m.group(1))
     if width < 1:
         raise ParseError("width must be >= 1", line=1)
+    if len(lines) < width + 3:  # header, outputs and one gate per sum[i] and cout
+        raise ParseError(f"width {width} needs {width + 3} lines or more, got {len(lines)}", line=1)
 
     names = input_names(width)
     by_name = {name: nid for nid, name in enumerate(names)}
@@ -176,8 +179,11 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
 
     Net names map directly: a, b and sum become vectors, everything
     else stays scalar, and each gate becomes one primitive instance
-    named after its gate id.
+    named after its gate id. Raises ParseError when ``module_name`` is
+    not a Verilog identifier.
     """
+    if not _IDENT_RE.fullmatch(module_name):
+        raise ParseError(f"module name {module_name!r} is not a Verilog identifier")
     w = nl.width
     names = nl.nets
     scalar_outs = ["cout"] + [names[nid] for nid in nl.carries]

@@ -4,9 +4,10 @@ A netlist is a DAG of single-output gates drawn from a fixed primitive
 set (INV, AND2-4, OR2-4, XOR2). A net's id is its position in the
 net-name table and a gate's id is its position in the gate list. The
 table is positional: the first 2w+1 nets are the primary inputs
-a[0..w), b[0..w) and cin, then gate k drives net 2w+1+k. The primary
-outputs are sum[0..w), cout, plus any exposed lookahead-carry nets
-(named c<k> for the carry into bit k).
+a[0..w), b[0..w) and cin, then gate k drives net 2w+1+k. Gate k reads
+only nets below its own, so the gate list is its evaluation order. The
+primary outputs are sum[0..w), cout, plus any exposed lookahead-carry
+nets (named c<k> for the carry into bit k).
 
 Construction goes through :class:`NetlistBuilder`, which is append-only.
 ``finish`` assigns the canonical output names, validates the structure
@@ -16,7 +17,6 @@ threads.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
-    CycleDetected,
     DanglingInput,
+    GateOrder,
     InvalidNetlist,
     InvalidWidth,
 )
@@ -248,7 +248,7 @@ def new_netlist(width: int) -> NetlistBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Structural checks and derived orders
+# Structural checks
 # ---------------------------------------------------------------------------
 
 
@@ -258,7 +258,7 @@ def validate(nl: Netlist) -> list[Violation]:
     Checks: one net per primary input and gate, port ids inside the net
     table (when either fails, only that is reported), arity, dangling
     gate inputs, primary outputs driven by gates, no dangling gate
-    outputs, acyclicity.
+    outputs, gate order (see :func:`topo_order`).
     """
     nnets, off = len(nl.nets), nl.offset
     if nnets != off + len(nl.gates):
@@ -294,61 +294,27 @@ def validate(nl: Netlist) -> list[Violation]:
 
     try:
         topo_order(nl)
-    except CycleDetected:
-        out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
+    except GateOrder as exc:
+        out.append(Violation("GateOrder", str(exc)))
     return out
 
 
 def topo_order(nl: Netlist) -> tuple[int, ...]:
-    """Gate ids in dependency order, ties broken by ascending gate id.
+    """Gate ids in evaluation order, which is always 0..n-1.
 
-    Kahn's algorithm over the gate graph with a min-heap frontier, so
-    the result is deterministic for any valid netlist. Raises
-    CycleDetected if some gates never become ready.
-
-    When every gate reads only nets below its own output (as in every
-    netlist ``NetlistBuilder`` and ``from_text`` build), a gate net that
-    gate k reads comes from a gate below k, so Kahn's order is 0..n-1:
-    once gates 0..k-1 are popped, gate k is ready and the smallest id
-    left. One pass checks that and skips the heap.
+    A netlist lists its gates in dependency order: gate k reads only
+    primary inputs and the nets of gates below k. ``NetlistBuilder``
+    and ``from_text`` cannot build anything else. Raises GateOrder
+    naming the first gate that reads its own net or a later gate's;
+    every cycle holds such a read. Reads outside the net table are left
+    to ``validate`` (DanglingInput).
     """
-    gates = nl.gates
-    if _in_order(nl):
-        return tuple(range(len(gates)))
-    off = nl.offset
-    end = off + len(gates)
-    pending = [0] * len(gates)
-    consumers: list[list[int]] = [[] for _ in gates]
-    ready: list[int] = []  # filled in ascending order, so already a heap
-    for k, g in enumerate(gates):
-        deps = [nid - off for nid in g.inputs if off <= nid < end]
-        pending[k] = len(deps)
-        for d in deps:
-            consumers[d].append(k)
-        if not deps:
-            ready.append(k)
-    order: list[int] = []
-    while ready:
-        k = heapq.heappop(ready)
-        order.append(k)
-        for nxt in consumers[k]:
-            pending[nxt] -= 1
-            if pending[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(gates):
-        raise CycleDetected(f"{len(gates) - len(order)} gates are stuck in a cycle")
-    return tuple(order)
-
-
-def _in_order(nl: Netlist) -> bool:
-    """Whether each gate reads only nets below its own output."""
-    out = nl.offset
-    for g in nl.gates:
+    off, nnets = nl.offset, len(nl.nets)
+    for out, g in enumerate(nl.gates, off):
         for nid in g.inputs:
-            if nid >= out:
-                return False
-        out += 1
-    return True
+            if out <= nid < nnets:
+                raise GateOrder(f"g{out - off} reads net {nid}")
+    return tuple(range(len(nl.gates)))
 
 
 def census(nl: Netlist) -> Census:

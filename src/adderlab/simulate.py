@@ -215,22 +215,14 @@ def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_packed(
-    nl: Netlist,
-    pi_cols: dict[int, int],
-    nrows: int,
-    order: tuple[int, ...] | None = None,
-) -> list[int]:
-    """Evaluate all nets over ``nrows`` packed rows; returns one int per net."""
+def _eval_packed(nl: Netlist, pi_cols: dict[int, int], nrows: int) -> list[int]:
+    """Evaluate all nets over ``nrows`` packed rows, gates in list order (the
+    caller checks that order with ``topo_order``); returns one int per net."""
     mask = (1 << nrows) - 1
     values = [0] * len(nl.nets)
     for nid, col in pi_cols.items():
         values[nid] = col
-    if order is None:
-        order = topo_order(nl)
-    off = nl.offset
-    for gid in order:
-        g = nl.gates[gid]
+    for net, g in enumerate(nl.gates, nl.offset):
         kind = g.kind
         if kind is CellKind.INV:
             out = mask ^ values[g.inputs[0]]
@@ -244,7 +236,7 @@ def _eval_packed(
             out = values[g.inputs[0]]
             for nid in g.inputs[1:]:
                 out |= values[nid]
-        values[off + gid] = out
+        values[net] = out
     return values
 
 
@@ -257,6 +249,7 @@ def _check_vector(width: int, v: InputVector) -> None:
 def evaluate(nl: Netlist, vector: InputVector) -> tuple[int, int, list[int]]:
     """Single-vector evaluation: (sum value, cout bit, value per net id)."""
     _check_vector(nl.width, vector)
+    topo_order(nl)
     cols = {nid: (vector.a >> i) & 1 for i, nid in enumerate(nl.a)}
     for i, nid in enumerate(nl.b):
         cols[nid] = (vector.b >> i) & 1
@@ -271,12 +264,13 @@ def evaluate(nl: Netlist, vector: InputVector) -> tuple[int, int, list[int]]:
 _BATCH = 1 << 16
 
 
-def _vector_batches(nl: Netlist, vectors: list[InputVector], order: tuple[int, ...]):
+def _vector_batches(nl: Netlist, vectors: list[InputVector]):
     """Evaluate caller vectors ``_BATCH`` at a time; yields (rows, values per net)."""
+    topo_order(nl)
     for at in range(0, len(vectors), _BATCH):
         batch = vectors[at : at + _BATCH]
         cols = _pack(nl, _vector_rows(nl.width, batch))
-        yield len(batch), _eval_packed(nl, cols, len(batch), order)
+        yield len(batch), _eval_packed(nl, cols, len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +299,7 @@ def collect_toggles(
         raise InsufficientVectors(f"need at least 2 vectors, got {len(vectors)}")
     toggles = [0] * len(nl.nets)
     prev_bits: list[int] | None = None
-    for n, values in _vector_batches(nl, vectors, topo_order(nl)):
+    for n, values in _vector_batches(nl, vectors):
         inner = (1 << (n - 1)) - 1
         for nid, col in enumerate(values):
             t = ((col ^ (col >> 1)) & inner).bit_count()
@@ -332,7 +326,7 @@ def run_vectors(
 def dump_trace(nl: Netlist, vectors: list[InputVector], fh) -> None:
     """Write one line per vector: net values as 0/1 digits in net-id order."""
     nnets = len(nl.nets)
-    for n, values in _vector_batches(nl, vectors, topo_order(nl)):
+    for n, values in _vector_batches(nl, vectors):
         nbytes = -(-n // 8)
         packed = b"".join(col.to_bytes(nbytes, "little") for col in values)
         cols = np.frombuffer(packed, dtype=np.uint8).reshape(nnets, nbytes)
@@ -367,11 +361,9 @@ class Counterexample:
         )
 
 
-def _first_mismatch(
-    nl: Netlist, cols: dict[int, int], nrows: int, order: tuple[int, ...]
-) -> Counterexample | None:
+def _first_mismatch(nl: Netlist, cols: dict[int, int], nrows: int) -> Counterexample | None:
     """Evaluate packed input columns; the lowest row that is not a + b + cin."""
-    values = _eval_packed(nl, cols, nrows, order)
+    values = _eval_packed(nl, cols, nrows)
     carry = cols[nl.cin]
     diff = 0
     for a, b, s in zip(nl.a, nl.b, nl.sums):
@@ -405,10 +397,10 @@ def verify_random(nl: Netlist, count: int = 100000, seed: int = 1) -> Counterexa
     """
     if count < 1:
         raise InsufficientVectors(f"need at least 1 vector, got {count}")
-    order = topo_order(nl)
+    topo_order(nl)
     for at in range(0, count, _BATCH):
         n = min(_BATCH, count - at)
-        bad = _first_mismatch(nl, _pack(nl, _stream_rows(nl.width, at, n, seed)), n, order)
+        bad = _first_mismatch(nl, _pack(nl, _stream_rows(nl.width, at, n, seed)), n)
         if bad is not None:
             return bad
     return None
@@ -441,12 +433,12 @@ def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:
     nrows = 1 << low
     pattern = [_pattern_column(bit, nrows) for bit in range(low)]
     ones = (1 << nrows) - 1
-    order = topo_order(nl)
+    topo_order(nl)
     for chunk in range(1 << (len(pis) - low)):
         cols = dict(zip(pis, pattern))
         for j, nid in enumerate(pis[low:]):
             cols[nid] = ones if (chunk >> j) & 1 else 0
-        bad = _first_mismatch(nl, cols, nrows, order)
+        bad = _first_mismatch(nl, cols, nrows)
         if bad is not None:
             return bad
     return None

@@ -51,6 +51,22 @@ def test_gen_rejects_bad_arch(capsys):
     assert "error: ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("module", ["my adder;", "1st", "a-b"])
+def test_gen_and_export_reject_a_module_name_that_is_not_a_verilog_identifier(
+    module, tmp_path, capsys
+):
+    ver, net = tmp_path / "m.v", tmp_path / "r2.net"
+    assert main(["gen", "--arch", "rca:2", "--verilog", str(ver), "--module", module]) == 1
+    assert not ver.exists()
+    net.write_text(to_text(compose("rca:2")))
+    assert main(["export", "--from-file", str(net), "--verilog", "--module", module]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count(f"error: ParseError: module name {module!r} is not a") == 2
+    assert main(["gen", "--arch", "rca:2", "--verilog", str(ver)]) == 0
+    assert ver.read_text().startswith("module rca_2 (")
+
+
 def test_gen_rejects_unknown_preset(capsys):
     assert main(["gen", "--preset", "design9"]) == 1
     assert "UnknownPreset" in capsys.readouterr().err
@@ -218,6 +234,23 @@ def test_compare_table_rejects_missing_columns(tmp_path, capsys):
     bad.write_text("design,power\nx,1\n")
     assert main(["compare", "--table1", str(bad)]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("design1,38.11,2.22,563.18\n", "line 8: design 'design1' is listed more than once"),
+        (",10.0,2.0,400.0\n", "line 8: metrics row has an empty design name"),
+    ],
+    ids=["repeated", "empty"],
+)
+def test_compare_table_rejects_a_repeated_or_empty_design_name(row, message, tmp_path, capsys):
+    bad = tmp_path / "names.csv"
+    bad.write_text(TABLE1_CSV.read_text() + row)
+    assert main(["compare", "--table1", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: ParseError: {message}\n" in captured.err
 
 
 def test_compare_preset_range_expansion(capsys):

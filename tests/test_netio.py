@@ -152,6 +152,8 @@ _PARSE_ERRORS = [
     ("empty", "", "empty netlist file", 1),
     ("header", _edit(("width 1", "widht 1")), "expected 'width <N>', got 'widht 1'", 1),
     ("width-0", _edit(("width 1", "width 0")), "width must be >= 1", 1),
+    ("too-few-lines", "width 5000\noutputs sum[0]\n",
+     "width 5000 needs 5003 lines or more, got 2", 1),
     ("gate-line", _edit((" -> sum[0]", " sum[0]")), "bad gate line 'g1 XOR2 n0 cin sum[0]'", 3),
     ("gate-id", _edit(("g1 XOR2", "g7 XOR2")), "gate ids must be sequential, expected g1", 3),
     ("kind", _edit(("g2 AND2", "g2 NAND2")), "unknown cell kind 'NAND2'", 4),

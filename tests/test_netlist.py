@@ -1,7 +1,7 @@
-"""Netlist construction, validation and topological ordering."""
+"""Netlist construction, validation and gate order."""
 
 import dataclasses
-import heapq
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,19 +11,27 @@ from adderlab import (
     PRESETS,
     CellKind,
     Gate,
+    InputVector,
     Netlist,
     census,
+    collect_toggles,
     compose,
+    critical_path,
+    default_library,
+    dump_trace,
+    evaluate,
     from_text,
     new_netlist,
     to_text,
     topo_order,
     validate,
+    verify_exhaustive_netlist,
+    verify_random,
 )
 from adderlab.errors import (
     ArityMismatch,
-    CycleDetected,
     DanglingInput,
+    GateOrder,
     InvalidNetlist,
     InvalidWidth,
 )
@@ -189,8 +197,8 @@ def test_cycle_is_reported_and_topo_raises():
         sums=(3,),
         cout=4,
     )
-    assert "CycleDetected" in {v.kind for v in validate(nl)}
-    with pytest.raises(CycleDetected):
+    assert validate(nl) == [Violation("GateOrder", "g0 reads net 4")]
+    with pytest.raises(GateOrder, match=r"^g0 reads net 4$"):
         topo_order(nl)
 
 
@@ -234,8 +242,8 @@ def test_topo_order_follows_dependencies():
                 assert pos[nid - nl.offset] < pos[k]
 
 
-def test_topo_order_is_dependency_driven_not_id_order():
-    # gate 0 reads gate 1's output, so 1 must be scheduled first
+def test_topo_order_rejects_an_acyclic_read_of_a_later_gate():
+    # gate 0 reads gate 1's output: no cycle, but not in dependency order
     nl = _raw_width1(
         gates=[
             Gate(CellKind.AND2, (4, 1)),
@@ -245,7 +253,8 @@ def test_topo_order_is_dependency_driven_not_id_order():
         sums=(3,),
         cout=4,
     )
-    assert topo_order(nl) == (1, 0)
+    with pytest.raises(GateOrder, match=r"^g0 reads net 4$"):
+        topo_order(nl)
 
 
 def test_topo_order_breaks_ties_by_gate_id():
@@ -258,25 +267,12 @@ def test_topo_order_breaks_ties_by_gate_id():
     assert topo_order(nl) == (0, 1, 2, 3)
 
 
-def kahn_reference(nl):
-    """Kahn's algorithm with a min-heap frontier, rescanning every gate after each pop."""
+def forward_read_reference(nl):
+    """The first (k, nid) where gate k reads a net in [2w+1+k, len(nets)),
+    that is its own net or a later gate's; None if there is no such read."""
     first = 2 * nl.width + 1  # gate k drives net first + k
-    driver = {first + k: k for k in range(len(nl.gates))}
-    deps = {k: [driver[nid] for nid in g.inputs if nid in driver] for k, g in enumerate(nl.gates)}
-    pending = {gid: len(d) for gid, d in deps.items()}
-    ready = [gid for gid, n in pending.items() if n == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        gid = heapq.heappop(ready)
-        order.append(gid)
-        for other, d in deps.items():
-            for dep in d:
-                if dep == gid:
-                    pending[other] -= 1
-                    if pending[other] == 0:
-                        heapq.heappush(ready, other)
-    return tuple(order)
+    reads = [(k, nid) for k, g in enumerate(nl.gates) for nid in g.inputs]
+    return next(((k, nid) for k, nid in reads if first + k <= nid < len(nl.nets)), None)
 
 
 _KIND_OF_ARITY = {1: CellKind.INV, 2: CellKind.AND2, 3: CellKind.AND3, 4: CellKind.AND4}
@@ -314,14 +310,21 @@ def shuffled_dags(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(nl=shuffled_dags())
-def test_topo_order_matches_a_min_heap_kahn_reference(nl):
-    assert topo_order(nl) == kahn_reference(nl)
+def test_topo_order_matches_a_forward_read_reference(nl):
+    bad = forward_read_reference(nl)
+    if bad is None:
+        assert topo_order(nl) == tuple(range(len(nl.gates)))
+    else:
+        with pytest.raises(GateOrder) as exc:
+            topo_order(nl)
+        assert str(exc.value) == "g%d reads net %d" % bad
 
 
 def test_topo_order_of_built_and_parsed_netlists_is_id_order():
     for name, spec in PRESETS.items():
         nl = compose(spec)
-        assert topo_order(nl) == tuple(range(len(nl.gates))) == kahn_reference(nl), name
+        assert forward_read_reference(nl) is None, name
+        assert topo_order(nl) == tuple(range(len(nl.gates))), name
         parsed = from_text(to_text(nl))
         assert topo_order(parsed) == tuple(range(len(parsed.gates))), name
 
@@ -333,8 +336,47 @@ def test_topo_order_rejects_a_gate_reading_its_own_output():
         sums=(3,),
         cout=4,
     )
-    with pytest.raises(CycleDetected):
+    with pytest.raises(GateOrder, match=r"^g0 reads net 3$"):
         topo_order(nl)
+
+
+def _full_adder_out_of_order():
+    """A width-1 full adder whose sum gate g0 reads the propagate net of
+    g1: acyclic, but not in dependency order."""
+    return _raw_width1(
+        gates=[
+            Gate(CellKind.XOR2, (4, 2)),
+            Gate(CellKind.XOR2, (0, 1)),
+            Gate(CellKind.AND2, (0, 1)),
+            Gate(CellKind.AND2, (4, 2)),
+            Gate(CellKind.OR2, (5, 6)),
+        ],
+        nets_extra=["sum[0]", "p0", "g0", "t0", "cout"],
+        sums=(3,),
+        cout=7,
+    )
+
+
+_TWO_VECTORS = [InputVector(1, 0, 1), InputVector(0, 1, 0)]
+_ENTRY_POINTS = {
+    "topo_order": topo_order,
+    "evaluate": lambda nl: evaluate(nl, _TWO_VECTORS[0]),
+    "collect_toggles": lambda nl: collect_toggles(nl, _TWO_VECTORS),
+    "dump_trace": lambda nl: dump_trace(nl, _TWO_VECTORS, io.StringIO()),
+    "verify_random": verify_random,
+    "verify_exhaustive_netlist": verify_exhaustive_netlist,
+    "critical_path": lambda nl: critical_path(nl, default_library()),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+def test_every_entry_point_rejects_a_gate_list_out_of_dependency_order(entry):
+    with pytest.raises(GateOrder, match=r"^g0 reads net 4$"):
+        entry(_full_adder_out_of_order())
+
+
+def test_validate_reports_a_gate_list_out_of_dependency_order():
+    assert validate(_full_adder_out_of_order()) == [Violation("GateOrder", "g0 reads net 4")]
 
 
 def test_census_of_full_adder():
@@ -358,8 +400,8 @@ def test_arity_table_covers_every_kind():
 
 def validate_reference(nl):
     """``validate`` as it was before the one-pass walk, with the readers map
-    it read inlined, the drivers taken from gate positions and the cycle
-    check done by ``kahn_reference``."""
+    it read inlined, the drivers taken from gate positions and the gate
+    order checked by ``forward_read_reference``."""
     out = []
     nnets = len(nl.nets)
     first = 2 * nl.width + 1  # gate k drives net first + k
@@ -390,12 +432,13 @@ def validate_reference(nl):
         if not readers.get(nid):
             out.append(Violation("DanglingNet", name))
 
-    if len(kahn_reference(nl)) != len(nl.gates):
-        out.append(Violation("CycleDetected", "netlist has a combinational cycle"))
+    bad = forward_read_reference(nl)
+    if bad is not None:
+        out.append(Violation("GateOrder", "g%d reads net %d" % bad))
     return out
 
 
-_MUTATIONS = ("swap", "undriven_output", "arity", "out_of_range", "drop_reader", "cycle")
+_MUTATIONS = ("swap", "undriven_output", "arity", "out_of_range", "drop_reader", "forward_read")
 
 
 @st.composite
@@ -425,7 +468,7 @@ def mutilated_netlists(draw):
                 ins[pin] = draw(st.sampled_from([-1, -5, nnets, nnets + 3]))
             elif what == "drop_reader":
                 ins[pin] = draw(st.sampled_from(pis))
-            else:  # cycle: read the output of this gate or a later one
+            else:  # forward_read: the output of this gate or a later one
                 ins[pin] = first + draw(st.integers(i, ngates - 1))
             g = g._replace(inputs=tuple(ins))
         gates[i] = g
