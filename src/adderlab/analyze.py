@@ -64,11 +64,12 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
     """
     if not nl.gates:
         return 0.0, ()
+    order = topo_order(nl)  # before _net_caps, which indexes every read
     caps = _net_caps(nl, lib)
     off = nl.offset
     arrival = [0.0] * len(nl.nets)
     pred: dict[int, int] = {}
-    for gid in topo_order(nl):
+    for gid in order:
         g = nl.gates[gid]
         cell = lib.cell(g.kind)
         delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * caps[off + gid]

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import IncompleteLibrary, InvalidCellValue, ParseError
+from .netio import read_utf8
 from .netlist import CellKind
 
 # ---------------------------------------------------------------------------
@@ -161,9 +162,4 @@ def parse_library(text: str) -> CellLibrary:
 
 
 def load_library(path: str) -> CellLibrary:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return parse_library(text)
+    return parse_library(read_utf8(path))

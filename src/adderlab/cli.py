@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import re
 import sys
 
@@ -23,7 +24,7 @@ from .arch import ArchitectureSpec, PRESETS, parse_arch_spec, preset
 from .cells import default_library, load_library
 from .errors import AdderLabError, InvalidWidth, ParseError
 from .generate import compose
-from .netio import read_text, to_text, to_verilog
+from .netio import read_text, read_utf8, to_text, to_verilog
 from .simulate import (
     _EXHAUSTIVE_LIMIT,
     random_vectors,
@@ -161,30 +162,29 @@ def _expand_presets(text: str) -> list[str]:
 
 
 def _read_metrics_csv(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"design", "power_uw", "delay_ns", "area_um2"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ParseError(f"metrics CSV needs columns {', '.join(sorted(need))}")
-        reports, seen = [], set()
-        for row in reader:
-            name = row["design"] or ""
-            if not name.strip():
-                raise ParseError("metrics row has an empty design name", line=reader.line_num)
-            if name in seen:
-                raise ParseError(f"design {name!r} is listed more than once", line=reader.line_num)
-            seen.add(name)
-            try:
-                reports.append(
-                    metrics_report(
-                        name,
-                        float(row["power_uw"]),
-                        float(row["delay_ns"]),
-                        float(row["area_um2"]),
-                    )
+    reader = csv.DictReader(io.StringIO(read_utf8(path)))
+    need = {"design", "power_uw", "delay_ns", "area_um2"}
+    if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+        raise ParseError(f"metrics CSV needs columns {', '.join(sorted(need))}")
+    reports, seen = [], set()
+    for row in reader:
+        name = row["design"] or ""
+        if not name.strip():
+            raise ParseError("metrics row has an empty design name", line=reader.line_num)
+        if name in seen:
+            raise ParseError(f"design {name!r} is listed more than once", line=reader.line_num)
+        seen.add(name)
+        try:
+            reports.append(
+                metrics_report(
+                    name,
+                    float(row["power_uw"]),
+                    float(row["delay_ns"]),
+                    float(row["area_um2"]),
                 )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad metrics row {row!r}: {exc}") from exc
+            )
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad metrics row {row!r}: {exc}") from exc
     return reports
 
 

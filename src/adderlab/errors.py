@@ -22,7 +22,7 @@ class ArityMismatch(AdderLabError):
 
 
 class DanglingInput(AdderLabError):
-    """Gate input refers to a net id that does not exist."""
+    """A gate reads a net id outside the net table (negative or past its end)."""
 
 
 class GateOrder(AdderLabError):
@@ -67,7 +67,8 @@ class InvalidCellValue(AdderLabError):
 
 
 class InsufficientVectors(AdderLabError):
-    """Toggle collection needs at least two vectors."""
+    """Too few vectors: toggle collection needs at least two, random
+    verification at least one, and no vector count may be negative."""
 
 
 class InvalidMetric(AdderLabError):

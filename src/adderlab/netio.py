@@ -149,13 +149,17 @@ def write_text(nl: Netlist, path: str) -> None:
         fh.write(to_text(nl))
 
 
-def read_text(path: str) -> Netlist:
+def read_utf8(path: str) -> str:
+    """A file's text with newlines read as LF; ParseError if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return from_text(text)
+
+
+def read_text(path: str) -> Netlist:
+    return from_text(read_utf8(path))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     names = nl.nets
     scalar_outs = ["cout"] + [names[nid] for nid in nl.carries]
     ports = ["a", "b", "cin", "sum"] + scalar_outs
-    named = set(nl.primary_inputs()) | set(nl.primary_outputs())
+    named = set(range(nl.offset)) | set(nl.primary_outputs())
 
     lines = [f"module {module_name} ({', '.join(ports)});"]
     lines.append(f"  input [{w - 1}:0] a;")

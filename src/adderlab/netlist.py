@@ -135,9 +135,6 @@ class Netlist:
     def cin(self) -> int:
         return input_layout(self.width)[2]
 
-    def primary_inputs(self) -> tuple[int, ...]:
-        return self.a + self.b + (self.cin,)
-
     def primary_outputs(self) -> tuple[int, ...]:
         return self.sums + (self.cout,) + self.carries
 
@@ -296,6 +293,8 @@ def validate(nl: Netlist) -> list[Violation]:
         topo_order(nl)
     except GateOrder as exc:
         out.append(Violation("GateOrder", str(exc)))
+    except DanglingInput:
+        pass  # the loop above reported every such read
     return out
 
 
@@ -305,15 +304,20 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     A netlist lists its gates in dependency order: gate k reads only
     primary inputs and the nets of gates below k. ``NetlistBuilder``
     and ``from_text`` cannot build anything else. Raises GateOrder
-    naming the first gate that reads its own net or a later gate's;
-    every cycle holds such a read. Reads outside the net table are left
-    to ``validate`` (DanglingInput).
+    naming the first gate that reads its own net or a later gate's
+    (every cycle holds such a read). Failing that, raises DanglingInput
+    naming the first read outside the net table, such as a negative id.
     """
     off, nnets = nl.offset, len(nl.nets)
     for out, g in enumerate(nl.gates, off):
         for nid in g.inputs:
-            if out <= nid < nnets:
-                raise GateOrder(f"g{out - off} reads net {nid}")
+            if not 0 <= nid < out:
+                reads = [(k, n) for k, h in enumerate(nl.gates) for n in h.inputs]
+                bad = next(((k, n) for k, n in reads if off + k <= n < nnets), None)
+                if bad:
+                    raise GateOrder("g%d reads net %d" % bad)
+                bad = next((k, n) for k, n in reads if not 0 <= n < nnets)
+                raise DanglingInput("g%d reads net %d" % bad)
     return tuple(range(len(nl.gates)))
 
 

@@ -149,8 +149,9 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
         and 0 <= min(b) and max(b) <= top
         and set(cin) <= {0, 1}
     ):
-        for v in vectors:
-            _check_vector(width, v)
+        for v, x, y, c in zip(vectors, a, b, cin):
+            if not (0 <= x <= top and 0 <= y <= top and c in (0, 1)):
+                raise InvalidWidth(f"vector {v} does not fit width {width}")
     nbits = 2 * width + 1
     if width <= 64:
         words = np.zeros((len(vectors), -(-nbits // 64)), dtype=np.uint64)
@@ -175,9 +176,9 @@ _TRANSPOSE8 = tuple(
 )
 
 
-def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:
+def _pack(nl: Netlist, rows: np.ndarray) -> list[int]:
     """Rows led by a, b (each MSB first) and cin -> packed column per primary
-    input net, bit r holding row r.
+    input net in net-id order, bit r holding row r.
 
     About 64 KB of rows at a time are transposed to byte columns, so each
     little-endian uint64 holds one byte column of 8 consecutive rows (row
@@ -204,10 +205,7 @@ def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:
             t <<= shift
             x ^= t
         packed[:, at // 8 : at // 8 + n8] = cols.reshape(nbytes, n8, 8)[bit >> 3, :, 7 - (bit & 7)]
-    return {
-        nid: int.from_bytes(col.tobytes(), "little")
-        for nid, col in zip(nl.primary_inputs(), packed)
-    }
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +213,12 @@ def _pack(nl: Netlist, rows: np.ndarray) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_packed(nl: Netlist, pi_cols: dict[int, int], nrows: int) -> list[int]:
-    """Evaluate all nets over ``nrows`` packed rows, gates in list order (the
-    caller checks that order with ``topo_order``); returns one int per net."""
+def _eval_packed(nl: Netlist, cols: list[int], nrows: int) -> list[int]:
+    """Evaluate all nets over ``nrows`` packed rows, given the primary-input
+    columns in net-id order, gates in list order (the caller checks that
+    order with ``topo_order``); returns one int per net."""
     mask = (1 << nrows) - 1
-    values = [0] * len(nl.nets)
-    for nid, col in pi_cols.items():
-        values[nid] = col
+    values = cols + [0] * len(nl.gates)
     for net, g in enumerate(nl.gates, nl.offset):
         kind = g.kind
         if kind is CellKind.INV:
@@ -240,27 +237,6 @@ def _eval_packed(nl: Netlist, pi_cols: dict[int, int], nrows: int) -> list[int]:
     return values
 
 
-def _check_vector(width: int, v: InputVector) -> None:
-    limit = 1 << width
-    if not (0 <= v.a < limit and 0 <= v.b < limit and v.cin in (0, 1)):
-        raise InvalidWidth(f"vector {v} does not fit width {width}")
-
-
-def evaluate(nl: Netlist, vector: InputVector) -> tuple[int, int, list[int]]:
-    """Single-vector evaluation: (sum value, cout bit, value per net id)."""
-    _check_vector(nl.width, vector)
-    topo_order(nl)
-    cols = {nid: (vector.a >> i) & 1 for i, nid in enumerate(nl.a)}
-    for i, nid in enumerate(nl.b):
-        cols[nid] = (vector.b >> i) & 1
-    cols[nl.cin] = vector.cin
-    values = _eval_packed(nl, cols, 1)
-    s = 0
-    for i, nid in enumerate(nl.sums):
-        s |= values[nid] << i
-    return s, values[nl.cout], values
-
-
 _BATCH = 1 << 16
 
 
@@ -271,6 +247,15 @@ def _vector_batches(nl: Netlist, vectors: list[InputVector]):
         batch = vectors[at : at + _BATCH]
         cols = _pack(nl, _vector_rows(nl.width, batch))
         yield len(batch), _eval_packed(nl, cols, len(batch))
+
+
+def evaluate(nl: Netlist, vector: InputVector) -> tuple[int, int, list[int]]:
+    """Single-vector evaluation: (sum value, cout bit, value per net id)."""
+    _, values = next(_vector_batches(nl, [vector]))
+    s = 0
+    for i, nid in enumerate(nl.sums):
+        s |= values[nid] << i
+    return s, values[nl.cout], values
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +303,6 @@ def run_vectors(
     nl: Netlist, count: int = 1024, seed: int = 1, interval_ns: float = 5.0
 ) -> ToggleStats:
     """Apply ``count`` seeded random vectors and collect toggle counts."""
-    if count < 2:
-        raise InsufficientVectors(f"need at least 2 vectors, got {count}")
     return collect_toggles(nl, random_vectors(nl.width, count, seed), interval_ns)
 
 
@@ -361,7 +344,7 @@ class Counterexample:
         )
 
 
-def _first_mismatch(nl: Netlist, cols: dict[int, int], nrows: int) -> Counterexample | None:
+def _first_mismatch(nl: Netlist, cols: list[int], nrows: int) -> Counterexample | None:
     """Evaluate packed input columns; the lowest row that is not a + b + cin."""
     values = _eval_packed(nl, cols, nrows)
     carry = cols[nl.cin]
@@ -427,18 +410,15 @@ def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:
         raise InvalidWidth(
             f"exhaustive verification is limited to {_EXHAUSTIVE_LIMIT} bits, got {w}"
         )
-    pis = nl.primary_inputs()
     # row r = (cin, b, a) bits; within a chunk the high row bits are constant
-    low = min(len(pis), _BATCH.bit_length() - 1)
+    low = min(nl.offset, _BATCH.bit_length() - 1)
     nrows = 1 << low
     pattern = [_pattern_column(bit, nrows) for bit in range(low)]
     ones = (1 << nrows) - 1
     topo_order(nl)
-    for chunk in range(1 << (len(pis) - low)):
-        cols = dict(zip(pis, pattern))
-        for j, nid in enumerate(pis[low:]):
-            cols[nid] = ones if (chunk >> j) & 1 else 0
-        bad = _first_mismatch(nl, cols, nrows)
+    for chunk in range(1 << (nl.offset - low)):
+        high = [ones if (chunk >> j) & 1 else 0 for j in range(nl.offset - low)]
+        bad = _first_mismatch(nl, pattern + high, nrows)
         if bad is not None:
             return bad
     return None

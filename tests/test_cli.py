@@ -229,6 +229,16 @@ def test_compare_table_rejects_a_non_finite_row(tmp_path, capsys):
     assert "error: InvalidMetric" in captured.err
 
 
+def test_compare_table_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"design,power_uw,delay_ns,area_um2\nd\xff1,1.0,2.0,400.0\nd2,1.0,2.0,400.0\n")
+    assert main(["compare", "--table1", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: ParseError: {bad} is not UTF-8 text: " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_compare_table_rejects_missing_columns(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("design,power\nx,1\n")

@@ -212,6 +212,13 @@ def test_file_round_trip(tmp_path):
     assert path.read_bytes().endswith(b"\n")
 
 
+def test_read_text_takes_crlf_line_ends(tmp_path):
+    text = to_text(compose(PRESETS["design5"]))
+    path = tmp_path / "d5_crlf.net"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert to_text(read_text(str(path))) == text
+
+
 # ---------------------------------------------------------------------------
 # verilog
 
@@ -233,7 +240,7 @@ def test_verilog_one_primitive_per_gate():
         assert f" g{k} (" in text
     prim_lines = [l for l in text.splitlines() if l.lstrip().startswith(("and ", "or ", "xor ", "not "))]
     assert len(prim_lines) == len(nl.gates)
-    ports = set(nl.primary_inputs() + nl.primary_outputs())
+    ports = set(range(nl.offset)) | set(nl.primary_outputs())
     wires = [l.strip() for l in text.splitlines() if l.lstrip().startswith("wire ")]
     assert wires == [f"wire {name};" for nid, name in enumerate(nl.nets) if nid not in ports]
 

@@ -22,6 +22,7 @@ from adderlab import (
     evaluate,
     from_text,
     new_netlist,
+    run_vectors,
     to_text,
     topo_order,
     validate,
@@ -282,15 +283,15 @@ _KIND_OF_ARITY = {1: CellKind.INV, 2: CellKind.AND2, 3: CellKind.AND3, 4: CellKi
 def shuffled_dags(draw):
     """A width-1 netlist of n gates built in dependency order, then moved
     to shuffled positions (ids) or left in build order; some inputs read
-    a net outside the table (id 3 + n)."""
+    a net outside the table (id -1 or 3 + n)."""
     n = draw(st.integers(1, 12))
     ids = draw(st.permutations(range(n)))
     by_id = draw(st.booleans())
     gates = []
     for k in range(n):
         # built gate k drives net 3 + k and may read primary inputs, the
-        # net outside the table, or earlier outputs
-        sources = [0, 1, 2, 3 + n] + [3 + j for j in range(k)]
+        # nets outside the table, or earlier outputs
+        sources = [-1, 0, 1, 2, 3 + n] + [3 + j for j in range(k)]
         gates.append(draw(st.lists(st.sampled_from(sources), min_size=1, max_size=4)))
     if by_id:
         # built gate k moves to position ids[k], so its net becomes 3 + ids[k]
@@ -311,13 +312,16 @@ def shuffled_dags(draw):
 @settings(max_examples=200, deadline=None)
 @given(nl=shuffled_dags())
 def test_topo_order_matches_a_forward_read_reference(nl):
+    # a forward read wins; failing that, the first read outside the table
+    reads = [(k, nid) for k, g in enumerate(nl.gates) for nid in g.inputs]
+    outside = next(((k, nid) for k, nid in reads if not 0 <= nid < len(nl.nets)), None)
     bad = forward_read_reference(nl)
-    if bad is None:
+    if bad is None and outside is None:
         assert topo_order(nl) == tuple(range(len(nl.gates)))
     else:
-        with pytest.raises(GateOrder) as exc:
+        with pytest.raises(GateOrder if bad else DanglingInput) as exc:
             topo_order(nl)
-        assert str(exc.value) == "g%d reads net %d" % bad
+        assert str(exc.value) == "g%d reads net %d" % (bad or outside)
 
 
 def test_topo_order_of_built_and_parsed_netlists_is_id_order():
@@ -377,6 +381,20 @@ def test_every_entry_point_rejects_a_gate_list_out_of_dependency_order(entry):
 
 def test_validate_reports_a_gate_list_out_of_dependency_order():
     assert validate(_full_adder_out_of_order()) == [Violation("GateOrder", "g0 reads net 4")]
+
+
+_GUARDED = {**_ENTRY_POINTS, "run_vectors": run_vectors}
+
+
+@pytest.mark.parametrize("entry", _GUARDED.values(), ids=_GUARDED.keys())
+def test_every_entry_point_rejects_a_read_outside_the_net_table(entry):
+    nl = compose("rca:1")
+    g0 = nl.gates[0]
+    for nid in (-1, len(nl.nets)):
+        gates = (g0._replace(inputs=(nid, g0.inputs[1])),) + nl.gates[1:]
+        bad = dataclasses.replace(nl, gates=gates)
+        with pytest.raises(DanglingInput, match=rf"^g0 reads net {nid}$"):
+            entry(bad)
 
 
 def test_census_of_full_adder():

@@ -187,6 +187,8 @@ def test_collect_toggles_names_the_first_bad_vector_of_a_batch(width):
     for bad in (InputVector(1.5, 0, 0), InputVector(0, 2.0, 0), InputVector(0, 0, 1.0)):
         with pytest.raises(TypeError):
             collect_toggles(nl, good + [bad])
+        with pytest.raises(TypeError):
+            evaluate(nl, bad)
 
 
 @pytest.mark.parametrize("width", [8, 40, 64, 65])
@@ -196,6 +198,7 @@ def test_numpy_integer_operands_encode_like_ints(width):
     numpy_ops = [InputVector(np.uint64(v.a), np.int64(v.b), np.int64(v.cin)) for v in ints]
     nl = compose(f"rca:{width}")
     assert collect_toggles(nl, numpy_ops) == collect_toggles(nl, ints)
+    assert [evaluate(nl, v) for v in numpy_ops] == [evaluate(nl, v) for v in ints]
     traces = []
     for vectors in (numpy_ops, ints):
         buf = io.StringIO()
@@ -365,9 +368,9 @@ def test_pack_columns_hold_every_row_across_blocks(width, nrows):
     # row r as 2w+1 digits, a and b MSB first, then cin: the stream's bit order
     digits = [f"{v.a:0{width}b}{v.b:0{width}b}{v.cin}" for v in reversed(vecs)]
     by_bit = [int("".join(col), 2) for col in zip(*digits)]
-    expected = dict(zip(nl.a, by_bit[width - 1 :: -1]))
-    expected.update(zip(nl.b, by_bit[2 * width - 1 : width - 1 : -1]))
-    expected[nl.cin] = by_bit[2 * width]
+    # one column per input net in id order: a[0..w), b[0..w), cin
+    expected = by_bit[width - 1 :: -1] + by_bit[2 * width - 1 : width - 1 : -1]
+    expected.append(by_bit[2 * width])
     assert simulate._pack(nl, simulate._stream_rows(width, 0, nrows, 5)) == expected
     assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == expected
 
