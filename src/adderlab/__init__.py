@@ -36,7 +36,6 @@ from .generate import (
 )
 from .netio import from_text, read_text, to_text, to_verilog, write_text
 from .netlist import (
-    ARITY,
     CellKind,
     Gate,
     Netlist,
@@ -62,7 +61,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARITY",
     "AnalysisReport",
     "BlockKind",
     "CellKind",

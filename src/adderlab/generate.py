@@ -147,8 +147,8 @@ def _reduce_tree(b: NetlistBuilder, nets: list[int], kinds: dict[int, CellKind])
     return nets[0]
 
 
-_AND_KINDS = {2: CellKind.AND2, 3: CellKind.AND3, 4: CellKind.AND4}
-_OR_KINDS = {2: CellKind.OR2, 3: CellKind.OR3, 4: CellKind.OR4}
+_AND_KINDS = {k.arity: k for k in CellKind if k.primitive == "and"}
+_OR_KINDS = {k.arity: k for k in CellKind if k.primitive == "or"}
 
 
 def _carry_cone(b: NetlistBuilder, pg: PGBundle, c0: int, k: int) -> int:

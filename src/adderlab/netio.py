@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .netlist import ARITY, CellKind, Gate, Netlist, input_names, validate
+from .netlist import CellKind, Gate, Netlist, input_names, validate
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -40,7 +40,7 @@ def to_text(nl: Netlist) -> str:
 _GATE_RE = re.compile(r"^g(\d+) (\S+) (.+) -> (\S+)$")
 _CARRY_RE = re.compile(r"^c(\d+)$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_KINDS = {kind.value: (kind, ARITY[kind]) for kind in CellKind}
+_KINDS = {kind.value: kind for kind in CellKind}
 
 
 def from_text(text: str) -> Netlist:
@@ -80,7 +80,8 @@ def from_text(text: str) -> Netlist:
             raise ParseError(f"gate ids must be sequential, expected g{len(gates)}", line=lineno)
         if kind_name not in _KINDS:
             raise ParseError(f"unknown cell kind {kind_name!r}", line=lineno)
-        kind, need = _KINDS[kind_name]
+        kind = _KINDS[kind_name]
+        need = kind.arity
         in_names = in_text.split(" ")
         if len(in_names) != need:
             raise ParseError(f"{kind_name} takes {need} inputs, got {len(in_names)}", line=lineno)
@@ -166,17 +167,6 @@ def read_text(path: str) -> Netlist:
 # Structural Verilog
 # ---------------------------------------------------------------------------
 
-_PRIMITIVE = {
-    CellKind.INV: "not",
-    CellKind.AND2: "and",
-    CellKind.AND3: "and",
-    CellKind.AND4: "and",
-    CellKind.OR2: "or",
-    CellKind.OR3: "or",
-    CellKind.OR4: "or",
-    CellKind.XOR2: "xor",
-}
-
 
 def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     """Structural module built from and/or/xor/not primitives.
@@ -206,8 +196,7 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
             lines.append(f"  wire {name};")
     lines.append("")
     for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):
-        prim = _PRIMITIVE[g.kind]
         args = ", ".join([out] + [names[nid] for nid in g.inputs])
-        lines.append(f"  {prim} g{k} ({args});")
+        lines.append(f"  {g.kind.primitive} g{k} ({args});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

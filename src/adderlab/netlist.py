@@ -36,32 +36,26 @@ from .errors import (
 
 
 class CellKind(Enum):
-    """The fixed primitive gate alphabet."""
+    """The fixed primitive gate alphabet. Each kind carries the Verilog
+    ``primitive`` it emits as and its ``arity``, e.g. AND3 is and/3."""
 
-    INV = "INV"
-    AND2 = "AND2"
-    AND3 = "AND3"
-    AND4 = "AND4"
-    OR2 = "OR2"
-    OR3 = "OR3"
-    OR4 = "OR4"
-    XOR2 = "XOR2"
+    INV = "INV", "not", 1
+    AND2 = "AND2", "and", 2
+    AND3 = "AND3", "and", 3
+    AND4 = "AND4", "and", 4
+    OR2 = "OR2", "or", 2
+    OR3 = "OR3", "or", 3
+    OR4 = "OR4", "or", 4
+    XOR2 = "XOR2", "xor", 2
+
+    def __new__(cls, name: str, primitive: str, arity: int):
+        kind = object.__new__(cls)
+        kind._value_, kind.primitive, kind.arity = name, primitive, arity
+        return kind
 
     # Members are singletons, so identity hashing agrees with Enum's
     # identity equality; Enum's own __hash__ runs Python code per lookup.
     __hash__ = object.__hash__
-
-
-ARITY: dict[CellKind, int] = {
-    CellKind.INV: 1,
-    CellKind.AND2: 2,
-    CellKind.AND3: 3,
-    CellKind.AND4: 4,
-    CellKind.OR2: 2,
-    CellKind.OR3: 3,
-    CellKind.OR4: 4,
-    CellKind.XOR2: 2,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ class NetlistBuilder:
 
     def add_gate(self, kind: CellKind, inputs: list[int] | tuple[int, ...]) -> int:
         """Append a gate reading ``inputs``, return its fresh output net id."""
-        need = ARITY[kind]
+        need = kind.arity
         if len(inputs) != need:
             raise ArityMismatch(f"{kind.value} takes {need} inputs, got {len(inputs)}")
         nnets = len(self._nets)
@@ -257,22 +251,14 @@ def validate(nl: Netlist) -> list[Violation]:
     gate inputs, primary outputs driven by gates, no dangling gate
     outputs, gate order (see :func:`topo_order`).
     """
+    out = _layout_violations(nl)
+    if out:
+        return out
     nnets, off = len(nl.nets), nl.offset
-    if nnets != off + len(nl.gates):
-        subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
-        return [Violation("NetCount", subject)]
-    bad = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums) if not 0 <= nid < nnets]
-    bad += [(f"carries[{i}]", nid) for i, nid in enumerate(nl.carries) if not 0 <= nid < nnets]
-    if not 0 <= nl.cout < nnets:
-        bad.append(("cout", nl.cout))
-    if bad:
-        return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
-
-    out: list[Violation] = []
     read = bytearray(nnets)
     for k, g in enumerate(nl.gates):
         ins = g.inputs
-        if len(ins) != ARITY[g.kind]:
+        if len(ins) != g.kind.arity:
             out.append(Violation("ArityMismatch", f"g{k} {g.kind.value}"))
         for nid in ins:
             if 0 <= nid < nnets:
@@ -298,16 +284,35 @@ def validate(nl: Netlist) -> list[Violation]:
     return out
 
 
+def _layout_violations(nl: Netlist) -> list[Violation]:
+    """NetCount unless there is one net per primary input and gate; failing
+    that, one DanglingPort per primary-output id outside the net table."""
+    nnets = len(nl.nets)
+    if nnets != nl.offset + len(nl.gates):
+        subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
+        return [Violation("NetCount", subject)]
+    bad = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums) if not 0 <= nid < nnets]
+    bad += [(f"carries[{i}]", nid) for i, nid in enumerate(nl.carries) if not 0 <= nid < nnets]
+    if not 0 <= nl.cout < nnets:
+        bad.append(("cout", nl.cout))
+    return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
+
+
 def topo_order(nl: Netlist) -> tuple[int, ...]:
     """Gate ids in evaluation order, which is always 0..n-1.
 
     A netlist lists its gates in dependency order: gate k reads only
     primary inputs and the nets of gates below k. ``NetlistBuilder``
-    and ``from_text`` cannot build anything else. Raises GateOrder
-    naming the first gate that reads its own net or a later gate's
-    (every cycle holds such a read). Failing that, raises DanglingInput
-    naming the first read outside the net table, such as a negative id.
+    and ``from_text`` cannot build anything else. Raises InvalidNetlist
+    (NetCount or DanglingPort, as ``validate`` reports them) when the
+    net table or a port id does not fit the gates; then GateOrder naming
+    the first gate that reads its own net or a later gate's (every cycle
+    holds such a read); failing that, DanglingInput naming the first
+    read outside the net table, such as a negative id.
     """
+    bad = _layout_violations(nl)
+    if bad:
+        raise InvalidNetlist(bad)
     off, nnets = nl.offset, len(nl.nets)
     for out, g in enumerate(nl.gates, off):
         for nid in g.inputs:

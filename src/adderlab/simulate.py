@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientVectors, InvalidWidth
-from .netlist import CellKind, Netlist, topo_order
+from .netlist import Netlist, topo_order
 
 # ---------------------------------------------------------------------------
 # Pseudo-random vector stream
@@ -220,19 +220,19 @@ def _eval_packed(nl: Netlist, cols: list[int], nrows: int) -> list[int]:
     mask = (1 << nrows) - 1
     values = cols + [0] * len(nl.gates)
     for net, g in enumerate(nl.gates, nl.offset):
-        kind = g.kind
-        if kind is CellKind.INV:
-            out = mask ^ values[g.inputs[0]]
-        elif kind is CellKind.XOR2:
+        op = g.kind.primitive
+        if op == "xor":
             out = values[g.inputs[0]] ^ values[g.inputs[1]]
-        elif kind in (CellKind.AND2, CellKind.AND3, CellKind.AND4):
+        elif op == "and":
             out = values[g.inputs[0]]
             for nid in g.inputs[1:]:
                 out &= values[nid]
-        else:
+        elif op == "or":
             out = values[g.inputs[0]]
             for nid in g.inputs[1:]:
                 out |= values[nid]
+        else:  # "not"
+            out = mask ^ values[g.inputs[0]]
         values[net] = out
     return values
 

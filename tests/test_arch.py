@@ -3,7 +3,7 @@
 import pytest
 
 from adderlab import BlockKind, PRESETS, parse_arch_spec, preset
-from adderlab.arch import BlockSpec
+from adderlab.arch import ArchitectureSpec, BlockSpec
 from adderlab.errors import InvalidBlockWidth, ParseError, UnknownPreset
 
 
@@ -52,6 +52,11 @@ def test_rca_allows_width_one_but_lookahead_does_not():
         with pytest.raises(InvalidBlockWidth):
             parse_arch_spec(f"{kind}:1")
         assert parse_arch_spec(f"{kind}:2").total_width == 2
+
+
+def test_spec_needs_at_least_one_block():
+    with pytest.raises(InvalidBlockWidth, match="^architecture needs at least one block$"):
+        ArchitectureSpec(())
 
 
 def test_to_string_collapses_runs():

@@ -64,6 +64,14 @@ def test_parse_rejects_bad_json():
         parse_library("{not json")
     with pytest.raises(ParseError):
         parse_library("[1, 2]")
+    doc = _doc()
+    doc["cells"] = list(doc["cells"].values())
+    with pytest.raises(ParseError, match="'cells' must be an object keyed by cell kind"):
+        parse_library(json.dumps(doc))
+    doc = _doc()
+    doc["cells"]["OR2"] = [1.0, 2.0]
+    with pytest.raises(ParseError, match="cell 'OR2' must be an object"):
+        parse_library(json.dumps(doc))
 
 
 def test_parse_rejects_missing_top_level_key():
@@ -103,6 +111,12 @@ def test_parse_rejects_non_numeric_value():
     doc["cells"]["AND2"]["leakage_nw"] = True
     with pytest.raises(InvalidCellValue):
         parse_library(json.dumps(doc))
+    for field in ("vdd_v", "output_load_ff"):
+        for value in ("1.0", True):
+            doc = _doc()
+            doc[field] = value
+            with pytest.raises(InvalidCellValue, match=f"^{field} must be a number$"):
+                parse_library(json.dumps(doc))
 
 
 def test_parse_rejects_nonpositive_area():

@@ -244,6 +244,12 @@ def test_compare_table_rejects_missing_columns(tmp_path, capsys):
     bad.write_text("design,power\nx,1\n")
     assert main(["compare", "--table1", str(bad)]) == 1
     assert "ParseError" in capsys.readouterr().err
+    bad.write_text("design,power_uw,delay_ns,area_um2\nd1,abc,2.0,400.0\nd2,1.0,2.0,400.0\n")
+    assert main(["compare", "--table1", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: ParseError: bad metrics row " in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -279,6 +285,8 @@ def test_compare_single_design_rejected(capsys):
 def test_compare_empty_range_rejected(capsys):
     assert main(["compare", "--presets", "design6..design1"]) == 1
     assert "ParseError" in capsys.readouterr().err
+    assert main(["compare", "--presets", ","]) == 1
+    assert "error: ParseError: no preset names given" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("names", ["design1,design1", "design1..design3,design2"])

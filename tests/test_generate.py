@@ -32,6 +32,7 @@ from adderlab import (
     PRESETS,
 )
 from adderlab.errors import InvalidBlockWidth
+from adderlab.generate import PGBundle
 
 from conftest import random_arch_string
 
@@ -197,6 +198,21 @@ def test_lookahead_blocks_reject_width_one():
         b = new_netlist(1)
         with pytest.raises(InvalidBlockWidth):
             gen(b, b.a, b.b, b.cin)
+    for gen in (gen_cclg, gen_scclg):
+        b = new_netlist(1)
+        with pytest.raises(InvalidBlockWidth, match="needs at least one bit"):
+            gen(b, PGBundle(g=(), p=()), b.cin)
+        assert b.gate_count == 0
+
+
+def test_generators_reject_unequal_slices_and_carry_index_zero():
+    for gen in (gen_pg, lambda b, x, y: gen_rca_block(b, x, y, b.cin)):
+        b = new_netlist(2)
+        with pytest.raises(InvalidBlockWidth, match="^a and b slices must have equal length$"):
+            gen(b, b.a, b.b[:1])
+        assert b.gate_count == 0
+    with pytest.raises(ValueError, match="^carry index must be >= 1$"):
+        carry_terms(0)
 
 
 def test_block_census_frozen():

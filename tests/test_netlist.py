@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adderlab import (
-    ARITY,
     PRESETS,
     CellKind,
     Gate,
@@ -397,6 +396,25 @@ def test_every_entry_point_rejects_a_read_outside_the_net_table(entry):
             entry(bad)
 
 
+def _misfit_tables():
+    """rca:1 with a net table one name short, and with a port outside it."""
+    nl = compose("rca:1")
+    return {
+        "short-net-table": dataclasses.replace(nl, nets=nl.nets[:-1]),
+        "cout-out-of-range": dataclasses.replace(nl, cout=99),
+        "negative-sum": dataclasses.replace(nl, sums=(-1,)),
+    }
+
+
+@pytest.mark.parametrize("misfit", _misfit_tables())
+@pytest.mark.parametrize("entry", _GUARDED.values(), ids=_GUARDED.keys())
+def test_every_entry_point_rejects_a_net_table_or_port_that_does_not_fit(entry, misfit):
+    bad = _misfit_tables()[misfit]
+    with pytest.raises(InvalidNetlist) as info:
+        entry(bad)
+    assert info.value.violations == validate(bad) != []
+
+
 def test_census_of_full_adder():
     c = census(compose("rca:1"))
     assert c.counts == {CellKind.XOR2: 2, CellKind.AND2: 2, CellKind.OR2: 1}
@@ -411,9 +429,18 @@ def test_census_total_matches_gate_list():
 
 
 def test_arity_table_covers_every_kind():
-    assert set(ARITY) == set(CellKind)
-    assert ARITY[CellKind.INV] == 1
-    assert ARITY[CellKind.AND4] == ARITY[CellKind.OR4] == 4
+    assert [(k.value, k.arity, k.primitive) for k in CellKind] == [
+        ("INV", 1, "not"),
+        ("AND2", 2, "and"),
+        ("AND3", 3, "and"),
+        ("AND4", 4, "and"),
+        ("OR2", 2, "or"),
+        ("OR3", 3, "or"),
+        ("OR4", 4, "or"),
+        ("XOR2", 2, "xor"),
+    ]
+    assert CellKind("AND3") is CellKind.AND3
+    assert repr(CellKind.AND3) == "<CellKind.AND3: 'AND3'>"
 
 
 def validate_reference(nl):
@@ -426,7 +453,7 @@ def validate_reference(nl):
 
     drivers = {}
     for k, g in enumerate(nl.gates):
-        if len(g.inputs) != ARITY[g.kind]:
+        if len(g.inputs) != g.kind.arity:
             out.append(Violation("ArityMismatch", f"g{k} {g.kind.value}"))
         for nid in g.inputs:
             if not (0 <= nid < nnets):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import adderlab.simulate as simulate
 from adderlab import (
+    CellKind,
     Counterexample,
     InputVector,
     PRESETS,
@@ -16,9 +17,11 @@ from adderlab import (
     compose,
     dump_trace,
     evaluate,
+    new_netlist,
     prng_word,
     random_vectors,
     run_vectors,
+    to_verilog,
     verify_exhaustive_netlist,
     verify_random,
 )
@@ -114,6 +117,41 @@ def test_evaluate_returns_all_net_values():
     assert len(values) == len(nl.nets)
     assert set(values) <= {0, 1}
     assert values[nl.a[0]] == 1 and values[nl.a[1]] == 1 and values[nl.b[1]] == 0
+
+
+def _gate_truth(name, xs):
+    """A cell's output from its input bits, written out per cell name."""
+    if name == "INV":
+        return 1 - xs[0]
+    if name == "XOR2":
+        return xs[0] ^ xs[1]
+    return int(all(xs) if name.startswith("AND") else any(xs))
+
+
+def test_evaluate_and_verilog_follow_each_kinds_truth_table():
+    b = new_netlist(2)
+    ins = [*b.a, *b.b, b.cin]
+    outs = [
+        b.add_gate(kind, [ins[(k + j) % len(ins)] for j in range(kind.arity)])
+        for k, kind in enumerate(CellKind)
+    ]
+    x = b.add_gate(CellKind.OR4, outs[:4])
+    y = b.add_gate(CellKind.AND3, outs[4:7])
+    nl = b.finish(sums=[x, y], cout=outs[7])
+    assert {g.kind for g in nl.gates} == set(CellKind)
+    for a in range(4):
+        for bb in range(4):
+            for cin in (0, 1):
+                _, _, values = evaluate(nl, InputVector(a, bb, cin))
+                assert values[: nl.offset] == [a & 1, a >> 1, bb & 1, bb >> 1, cin]
+                for net, g in enumerate(nl.gates, nl.offset):
+                    want = _gate_truth(g.kind.value, [values[nid] for nid in g.inputs])
+                    assert values[net] == want, (g, a, bb, cin)
+    text = to_verilog(nl)
+    for k, g in enumerate(nl.gates):
+        name = g.kind.value
+        prim = {"INV": "not", "XOR2": "xor"}.get(name, name[:-1].lower())
+        assert f"  {prim} g{k} (" in text
 
 
 def test_evaluate_rejects_out_of_range_operands():
@@ -253,6 +291,8 @@ def test_random_vectors_rejects_a_negative_count():
     assert random_vectors(8, 0, 1) == []
     with pytest.raises(InsufficientVectors):
         random_vectors(8, -3, 1)
+    with pytest.raises(InvalidWidth, match="^width must be >= 1, got 0$"):
+        random_vectors(0, 4, 1)
 
 
 def test_run_vectors_is_seed_deterministic():
