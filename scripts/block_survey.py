@@ -15,18 +15,17 @@ import sys
 
 from adderlab import (
     area,
-    census,
     compose,
     default_library,
     gen_cclg,
     gen_pg,
     gen_scclg,
-    new_netlist,
+    NetlistBuilder,
 )
 
 
 def cone_gates(width: int, section: bool) -> int:
-    b = new_netlist(width)
+    b = NetlistBuilder(width)
     pg = gen_pg(b, b.a, b.b)
     base = b.gate_count
     if section:
@@ -52,7 +51,7 @@ def main(argv=None) -> int:
         full = compose(f"ccla:{m}")
         sect = compose(f"scbcla:{m}")
         a_full, a_sect = area(full, lib), area(sect, lib)
-        g_full, g_sect = census(full).total, census(sect).total
+        g_full, g_sect = len(full.gates), len(sect.gates)
         c_full, c_sect = cone_gates(m, False), cone_gates(m, True)
         print(
             f"{m:>2}  {g_full:>3} {a_full:>5.1f}  {g_sect:>3} {a_sect:>5.1f}"

@@ -39,8 +39,7 @@ from .netlist import (
     CellKind,
     Gate,
     Netlist,
-    census,
-    new_netlist,
+    NetlistBuilder,
     topo_order,
     validate,
 )
@@ -69,12 +68,12 @@ __all__ = [
     "Gate",
     "InputVector",
     "Netlist",
+    "NetlistBuilder",
     "PRESETS",
     "ToggleStats",
     "analyze_design",
     "area",
     "carry_terms",
-    "census",
     "collect_toggles",
     "compare",
     "comparison_csv",
@@ -95,7 +94,6 @@ __all__ = [
     "load_library",
     "metrics_report",
     "net_capacitance",
-    "new_netlist",
     "parse_arch_spec",
     "parse_library",
     "power",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .arch import ArchitectureSpec, coerce_arch
@@ -37,7 +37,7 @@ from .simulate import ToggleStats, run_vectors
 
 def area(nl: Netlist, lib: CellLibrary) -> float:
     """Total cell area in um^2."""
-    return sum(lib.cell(g.kind).area_um2 for g in nl.gates)
+    return sum(lib.cells[g.kind].area_um2 for g in nl.gates)
 
 
 def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
@@ -48,7 +48,7 @@ def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
 def _net_caps(nl: Netlist, lib: CellLibrary) -> list[float]:
     caps = [0.0] * len(nl.nets)
     for g in nl.gates:
-        per_pin = lib.cell(g.kind).input_cap_ff
+        per_pin = lib.cells[g.kind].input_cap_ff
         for nid in g.inputs:
             caps[nid] += per_pin
     for nid in nl.primary_outputs():
@@ -71,7 +71,7 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
     pred: dict[int, int] = {}
     for gid in order:
         g = nl.gates[gid]
-        cell = lib.cell(g.kind)
+        cell = lib.cells[g.kind]
         delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * caps[off + gid]
         best_t = -1.0
         best_pred = -1
@@ -120,7 +120,7 @@ def power_components(
         if toggles:
             # fF * V^2 / ns comes out directly in microwatts
             switching += 0.5 * caps[nid] * vdd_sq * toggles / t_total
-    leakage = sum(lib.cell(g.kind).leakage_nw for g in nl.gates) * 1e-3
+    leakage = sum(lib.cells[g.kind].leakage_nw for g in nl.gates) * 1e-3
     return switching, leakage
 
 
@@ -160,21 +160,9 @@ class AnalysisReport:
     fom_scaled: float
     critical_path: tuple[int, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "arch": self.arch,
-            "gates": self.gates,
-            "power_uw": self.power_uw,
-            "delay_ns": self.delay_ns,
-            "area_um2": self.area_um2,
-            "fom_scaled": self.fom_scaled,
-            "critical_path": list(self.critical_path),
-        }
-
 
 def report_json(report: AnalysisReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def analyze_design(

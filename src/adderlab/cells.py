@@ -59,9 +59,6 @@ class CellLibrary:
         if missing:
             raise IncompleteLibrary(f"missing cell models: {', '.join(missing)}")
 
-    def cell(self, kind: CellKind) -> CellModel:
-        return self.cells[kind]
-
 
 # ---------------------------------------------------------------------------
 # Default library

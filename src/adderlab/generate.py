@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .arch import _MIN_WIDTH, ArchitectureSpec, BlockKind, coerce_arch
 from .errors import InvalidBlockWidth
-from .netlist import CellKind, Netlist, NetlistBuilder, new_netlist
+from .netlist import CellKind, Netlist, NetlistBuilder
 
 # ---------------------------------------------------------------------------
 # Small result records
@@ -286,7 +286,7 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
     """
     spec = coerce_arch(spec)
     width = spec.total_width
-    b = new_netlist(width)
+    b = NetlistBuilder(width)
     sums: list[int] = []
     exposed: list[tuple[int, int]] = []
     carry = b.cin

@@ -39,7 +39,6 @@ def to_text(nl: Netlist) -> str:
 
 _GATE_RE = re.compile(r"^g(\d+) (\S+) (.+) -> (\S+)$")
 _CARRY_RE = re.compile(r"^c(\d+)$")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _KINDS = {kind.value: kind for kind in CellKind}
 
 
@@ -168,21 +167,41 @@ def read_text(path: str) -> Netlist:
 # ---------------------------------------------------------------------------
 
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+# the reserved words of IEEE 1364-2005, Annex B
+_RESERVED = frozenset("""always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end endcase endconfig endfunction
+    endgenerate endmodule endprimitive endspecify endtable endtask event for force forever fork
+    function generate genvar highz0 highz1 if ifnone incdir include initial inout input instance
+    integer join large liblist library localparam macromodule medium module nand negedge nmos nor
+    noshowcancelled not notif0 notif1 or output parameter pmos posedge primitive pull0 pull1
+    pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real realtime reg release repeat
+    rnmos rpmos rtran rtranif0 rtranif1 scalared showcancelled signed small specify specparam
+    strong0 strong1 supply0 supply1 table task time tran tranif0 tranif1 tri tri0 tri1 triand trior
+    trireg unsigned use uwire vectored wait wand weak0 weak1 while wire wor xnor xor""".split())
+
+
+def _check_name(name: str, what: str, taken: frozenset[str] = frozenset()) -> None:
+    """ParseError unless ``name`` is a simple identifier, not reserved and not ``taken``."""
+    if not _IDENT_RE.fullmatch(name) or name in _RESERVED or name in taken:
+        raise ParseError(f"{what} {name!r} is not a Verilog identifier, or is reserved or taken")
+
+
 def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     """Structural module built from and/or/xor/not primitives.
 
     Net names map directly: a, b and sum become vectors, everything
     else stays scalar, and each gate becomes one primitive instance
-    named after its gate id. Raises ParseError when ``module_name`` is
-    not a Verilog identifier.
+    named after its gate id. Raises ParseError when the module or a wire
+    name is not a simple identifier, is reserved, or names a port or gate.
     """
-    if not _IDENT_RE.fullmatch(module_name):
-        raise ParseError(f"module name {module_name!r} is not a Verilog identifier")
+    _check_name(module_name, "module name")
     w = nl.width
     names = nl.nets
     scalar_outs = ["cout"] + [names[nid] for nid in nl.carries]
     ports = ["a", "b", "cin", "sum"] + scalar_outs
     named = set(range(nl.offset)) | set(nl.primary_outputs())
+    taken = frozenset(ports).union(map("g{}".format, range(len(nl.gates))))
 
     lines = [f"module {module_name} ({', '.join(ports)});"]
     lines.append(f"  input [{w - 1}:0] a;")
@@ -193,6 +212,7 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
         lines.append(f"  output {name};")
     for nid, name in enumerate(names):
         if nid not in named:
+            _check_name(name, "wire name", taken)
             lines.append(f"  wire {name};")
     lines.append("")
     for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):

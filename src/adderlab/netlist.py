@@ -17,7 +17,6 @@ threads.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -80,14 +79,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind}({self.subject})"
-
-
-@dataclass(frozen=True)
-class Census:
-    """Gate population of a netlist, by cell kind and in total."""
-
-    counts: dict[CellKind, int]
-    total: int
 
 
 @dataclass(frozen=True)
@@ -233,11 +224,6 @@ class NetlistBuilder:
         return nl
 
 
-def new_netlist(width: int) -> NetlistBuilder:
-    """Start building an adder netlist of the given bit width."""
-    return NetlistBuilder(width)
-
-
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------
@@ -324,9 +310,3 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
                 bad = next((k, n) for k, n in reads if not 0 <= n < nnets)
                 raise DanglingInput("g%d reads net %d" % bad)
     return tuple(range(len(nl.gates)))
-
-
-def census(nl: Netlist) -> Census:
-    """Count gates by kind."""
-    counts = Counter(g.kind for g in nl.gates)
-    return Census(counts=dict(counts), total=len(nl.gates))

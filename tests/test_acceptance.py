@@ -13,7 +13,7 @@ section-carry presets are smaller than their conventional twins, as in
 the reference table. No 25% block bound applies at widths 2 to 4: both
 styles share the generate/propagate stage and the sum logic, so the
 cone is only a fraction of the block, and at width 2 the one-term cone
-is the ripple step itself (test_generate.py::test_block_census_frozen
+is the ripple step itself (test_generate.py::test_block_gate_counts_frozen
 pins the two width-2 blocks as equal). See README "Tests" and
 scripts/block_survey.py.
 """
@@ -25,7 +25,6 @@ from adderlab import (
     PRESETS,
     area,
     carry_terms,
-    census,
     compare,
     compose,
     critical_path,
@@ -37,7 +36,7 @@ from adderlab import (
     gen_scbcla_block,
     gen_scclg,
     metrics_report,
-    new_netlist,
+    NetlistBuilder,
     run_vectors,
     verify_exhaustive_netlist,
     verify_random,
@@ -99,11 +98,11 @@ def test_criterion_2_fom_reproduction():
 def test_criterion_3_exposed_carry_cardinality():
     ok = True
     for m in (2, 3, 4, 5):
-        b = new_netlist(m)
+        b = NetlistBuilder(m)
         ok = ok and len(gen_ccla_block(b, b.a, b.b, b.cin).carries) == m
-        b = new_netlist(m)
+        b = NetlistBuilder(m)
         ok = ok and len(gen_scbcla_block(b, b.a, b.b, b.cin).carries) == 1
-        b = new_netlist(m)
+        b = NetlistBuilder(m)
         ok = ok and len(gen_rca_block(b, b.a, b.b, b.cin).carries) == 0
     assert _verdict(
         3, "lookahead carry counts per block", ok, "widths 2..5: full=m, section=1, ripple=0"
@@ -112,7 +111,7 @@ def test_criterion_3_exposed_carry_cardinality():
 
 def _cone_gates(m: int, generator) -> int:
     """Gates a carry generator adds on top of a width-m P/G stage."""
-    b = new_netlist(m)
+    b = NetlistBuilder(m)
     pg = gen_pg(b, b.a, b.b)
     base = b.gate_count
     generator(b, pg, b.cin)
@@ -126,7 +125,7 @@ def test_criterion_4_block_area_reduction():
     for m in range(2, 9):
         full, sect = compose(f"ccla:{m}"), compose(f"scbcla:{m}")
         a_full, a_sect = area(full, lib), area(sect, lib)
-        g_full, g_sect = census(full).total, census(sect).total
+        g_full, g_sect = len(full.gates), len(sect.gates)
         c_full, c_sect = _cone_gates(m, gen_cclg), _cone_gates(m, gen_scclg)
         rows.append(
             f"m={m}: block {100 * (a_full - a_sect) / a_full:.1f}%,"

@@ -19,23 +19,23 @@ def test_default_library_covers_every_kind():
 
 def test_default_library_frozen_values():
     lib = default_library()
-    inv = lib.cell(CellKind.INV)
+    inv = lib.cells[CellKind.INV]
     assert (inv.area_um2, inv.intrinsic_delay_ns, inv.load_delay_ns_per_ff) == (1.0, 0.02, 0.010)
     assert (inv.input_cap_ff, inv.leakage_nw) == (1.0, 1.0)
-    xor = lib.cell(CellKind.XOR2)
+    xor = lib.cells[CellKind.XOR2]
     assert (xor.area_um2, xor.intrinsic_delay_ns, xor.load_delay_ns_per_ff) == (3.0, 0.08, 0.015)
     assert (xor.input_cap_ff, xor.leakage_nw) == (1.5, 3.5)
-    and4 = lib.cell(CellKind.AND4)
+    and4 = lib.cells[CellKind.AND4]
     assert (and4.area_um2, and4.input_cap_ff) == (3.0, 1.4)
 
 
 def test_default_library_cost_ordering():
     # wider gates cost more; XOR2 has the priciest pin
     lib = default_library()
-    caps = {k: lib.cell(k).input_cap_ff for k in CellKind}
+    caps = {k: lib.cells[k].input_cap_ff for k in CellKind}
     assert caps[CellKind.INV] < caps[CellKind.AND2] < caps[CellKind.AND3] < caps[CellKind.AND4]
     assert caps[CellKind.XOR2] == max(caps.values())
-    areas = {k: lib.cell(k).area_um2 for k in CellKind}
+    areas = {k: lib.cells[k].area_um2 for k in CellKind}
     assert areas[CellKind.INV] == min(areas.values())
 
 

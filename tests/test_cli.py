@@ -51,7 +51,7 @@ def test_gen_rejects_bad_arch(capsys):
     assert "error: ParseError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["my adder;", "1st", "a-b"])
+@pytest.mark.parametrize("module", ["my adder;", "1st", "a-b", "module", "endmodule"])
 def test_gen_and_export_reject_a_module_name_that_is_not_a_verilog_identifier(
     module, tmp_path, capsys
 ):
@@ -313,6 +313,17 @@ def test_export_verilog(tmp_path, capsys):
     assert out.startswith("module adder2 (")
     assert main(["export", "--from-file", str(src), "--verilog", "--module", "cla2"]) == 0
     assert capsys.readouterr().out.startswith("module cla2 (")
+
+
+def test_export_verilog_rejects_a_wire_named_like_a_keyword(tmp_path, capsys):
+    src = tmp_path / "w.net"
+    src.write_text(to_text(compose("rca:1")).replace("n0", "wire"))
+    assert main(["verify", "--from-file", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["export", "--from-file", str(src), "--verilog"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: ParseError: wire name 'wire' is not a" in captured.err
 
 
 def test_export_rejects_corrupt_text(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Netlist text format round-trips and the structural verilog emitter."""
 
+import re
+
 import pytest
 
 from adderlab import PRESETS, Gate, compose, from_text, read_text, to_text, to_verilog, write_text
@@ -254,3 +256,26 @@ def test_verilog_output_first_operand_order():
 def test_verilog_is_deterministic():
     nl = compose(PRESETS["design6"])
     assert to_verilog(nl) == to_verilog(nl)
+
+
+
+@pytest.mark.parametrize("module", ["module", "endmodule", "wire", "xor"])
+def test_verilog_rejects_a_reserved_module_name(module):
+    with pytest.raises(ParseError, match=f"module name '{module}' is not a"):
+        to_verilog(compose("rca:1"), module)
+
+
+def _full_adder_with_wire(name):
+    """The full adder with its first internal net renamed; the parser takes any name."""
+    return from_text(FULL_ADDER_TEXT.replace("n0", name))
+
+
+@pytest.mark.parametrize("wire", ["wire", "1g", "t.x", "a", "sum", "g3"])
+def test_verilog_rejects_a_wire_name_that_is_not_free(wire):
+    with pytest.raises(ParseError, match=re.escape(f"wire name {wire!r} is not a")):
+        to_verilog(_full_adder_with_wire(wire))
+
+
+def test_verilog_keeps_a_free_wire_name():
+    text = to_verilog(_full_adder_with_wire("t_x$1"))
+    assert text == FULL_ADDER_VERILOG.replace("n0", "t_x$1")

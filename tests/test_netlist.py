@@ -12,7 +12,6 @@ from adderlab import (
     Gate,
     InputVector,
     Netlist,
-    census,
     collect_toggles,
     compose,
     critical_path,
@@ -20,7 +19,7 @@ from adderlab import (
     dump_trace,
     evaluate,
     from_text,
-    new_netlist,
+    NetlistBuilder,
     run_vectors,
     to_text,
     topo_order,
@@ -39,7 +38,7 @@ from adderlab.netlist import Violation
 
 
 def test_builder_preallocates_primary_inputs():
-    b = new_netlist(3)
+    b = NetlistBuilder(3)
     names = [f"a[{i}]" for i in range(3)] + [f"b[{i}]" for i in range(3)] + ["cin"]
     assert [b._nets[n] for n in (*b.a, *b.b, b.cin)] == names
     assert b.a == (0, 1, 2) and b.b == (3, 4, 5) and b.cin == 6
@@ -49,11 +48,11 @@ def test_builder_preallocates_primary_inputs():
 @pytest.mark.parametrize("bad", [0, -4, "8", 2.0, None])
 def test_width_must_be_positive_int(bad):
     with pytest.raises(InvalidWidth):
-        new_netlist(bad)
+        NetlistBuilder(bad)
 
 
 def test_add_gate_assigns_sequential_ids_and_fresh_nets():
-    b = new_netlist(1)
+    b = NetlistBuilder(1)
     n0 = b.add_gate(CellKind.AND2, [b.a[0], b.b[0]])
     n1 = b.add_gate(CellKind.INV, [n0])
     assert (n0, n1) == (3, 4)
@@ -62,7 +61,7 @@ def test_add_gate_assigns_sequential_ids_and_fresh_nets():
 
 
 def test_add_gate_checks_arity():
-    b = new_netlist(1)
+    b = NetlistBuilder(1)
     with pytest.raises(ArityMismatch):
         b.add_gate(CellKind.AND2, [b.a[0]])
     with pytest.raises(ArityMismatch):
@@ -70,7 +69,7 @@ def test_add_gate_checks_arity():
 
 
 def test_add_gate_rejects_unknown_net_ids():
-    b = new_netlist(1)
+    b = NetlistBuilder(1)
     with pytest.raises(DanglingInput):
         b.add_gate(CellKind.XOR2, [b.a[0], 99])
     with pytest.raises(DanglingInput):
@@ -78,7 +77,7 @@ def test_add_gate_rejects_unknown_net_ids():
 
 
 def _full_adder_by_hand():
-    b = new_netlist(1)
+    b = NetlistBuilder(1)
     p = b.add_gate(CellKind.XOR2, [b.a[0], b.b[0]])
     s = b.add_gate(CellKind.XOR2, [p, b.cin])
     g = b.add_gate(CellKind.AND2, [b.a[0], b.b[0]])
@@ -126,7 +125,7 @@ def test_finish_rejects_output_with_no_driver():
 def _ripple_by_hand(width):
     """A ripple adder built gate by gate; also returns the net of each
     propagate p<i> and each internal carry c<i>."""
-    b = new_netlist(width)
+    b = NetlistBuilder(width)
     carry, sums, named = b.cin, [], {}
     for i in range(width):
         p = named[f"p{i}"] = b.add_gate(CellKind.XOR2, [b.a[i], b.b[i]])
@@ -258,7 +257,7 @@ def test_topo_order_rejects_an_acyclic_read_of_a_later_gate():
 
 
 def test_topo_order_breaks_ties_by_gate_id():
-    b = new_netlist(1)
+    b = NetlistBuilder(1)
     x = b.add_gate(CellKind.INV, [b.a[0]])
     y = b.add_gate(CellKind.INV, [b.b[0]])
     s = b.add_gate(CellKind.AND2, [x, y])
@@ -413,19 +412,6 @@ def test_every_entry_point_rejects_a_net_table_or_port_that_does_not_fit(entry, 
     with pytest.raises(InvalidNetlist) as info:
         entry(bad)
     assert info.value.violations == validate(bad) != []
-
-
-def test_census_of_full_adder():
-    c = census(compose("rca:1"))
-    assert c.counts == {CellKind.XOR2: 2, CellKind.AND2: 2, CellKind.OR2: 1}
-    assert c.total == 5
-
-
-def test_census_total_matches_gate_list():
-    for spec in ("rca:3", "ccla:2,rca:2", "scbcla:4"):
-        nl = compose(spec)
-        c = census(nl)
-        assert c.total == len(nl.gates) == sum(c.counts.values())
 
 
 def test_arity_table_covers_every_kind():

@@ -17,7 +17,7 @@ from adderlab import (
     compose,
     dump_trace,
     evaluate,
-    new_netlist,
+    NetlistBuilder,
     prng_word,
     random_vectors,
     run_vectors,
@@ -129,7 +129,7 @@ def _gate_truth(name, xs):
 
 
 def test_evaluate_and_verilog_follow_each_kinds_truth_table():
-    b = new_netlist(2)
+    b = NetlistBuilder(2)
     ins = [*b.a, *b.b, b.cin]
     outs = [
         b.add_gate(kind, [ins[(k + j) % len(ins)] for j in range(kind.arity)])
