@@ -2,7 +2,9 @@
 
 All generators work on a :class:`~adderlab.netlist.NetlistBuilder` and
 return the net ids of what they produced, so sections can be chained
-through their carries and composed into full adders.
+through their carries. ``compose`` runs each (kind, width) generator once
+and places copies of the cached template; a ripple block is placed as
+one-bit full adders, so no wide template is ever kept.
 
 The carry algebra: with generate g[i] = a[i]&b[i] and propagate
 p[i] = a[i]^b[i], carries obey c[i+1] = g[i] | (p[i] & c[i]) and sums
@@ -43,10 +45,6 @@ class PGBundle:
 
     g: tuple[int, ...]
     p: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.g)
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def gen_cclg(b: NetlistBuilder, pg: PGBundle, c0: int) -> list[int]:
     between cones beyond the pg nets themselves), mirroring the fully
     expanded written form.
     """
-    m = pg.width
+    m = len(pg.g)
     if m < 1:
         raise InvalidBlockWidth("lookahead generator needs at least one bit")
     return [_carry_cone(b, pg, c0, k) for k in range(1, m + 1)]
@@ -188,7 +186,7 @@ def gen_scclg(b: NetlistBuilder, pg: PGBundle, c0: int) -> int:
     cones are simply never built, which is where the section-carry
     design saves logic.
     """
-    m = pg.width
+    m = len(pg.g)
     if m < 1:
         raise InvalidBlockWidth("lookahead generator needs at least one bit")
     return _carry_cone(b, pg, c0, m)
@@ -275,6 +273,11 @@ _GENERATORS = {
 # ---------------------------------------------------------------------------
 
 
+# (kind, m) -> (gates, sums, cout, carries) of that generator on a width-m builder, in
+# local net ids. Filled on first use, not at import; two racing fills store equal tuples.
+_TEMPLATES: dict[tuple[BlockKind, int], tuple] = {}
+
+
 def compose(spec: ArchitectureSpec | str) -> Netlist:
     """Build a complete adder netlist from an architecture description.
 
@@ -283,22 +286,27 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
     Lookahead carries that are not the adder's cout are exposed as c<k>
     primary outputs (k is the global carry index), so a section's
     published interface survives composition.
+
+    Each (kind, width) section is generated once as a template, then placed
+    by remapping its local nets; rca:m is placed as m one-bit rca templates.
     """
     spec = coerce_arch(spec)
     width = spec.total_width
     b = NetlistBuilder(width)
     sums: list[int] = []
     exposed: list[tuple[int, int]] = []
-    carry = b.cin
-    offset = 0
+    carry, lo = b.cin, 0
     for blk in spec.blocks:
-        lo, hi = offset, offset + blk.width
-        result = _GENERATORS[blk.kind](b, b.a[lo:hi], b.b[lo:hi], carry)
-        sums.extend(result.sums)
-        for local_k, net in result.carries:
-            global_k = offset + local_k
-            if global_k != width:
-                exposed.append((global_k, net))
-        carry = result.cout
-        offset = hi
+        copies, m = (blk.width, 1) if blk.kind is BlockKind.RCA else (1, blk.width)
+        if (blk.kind, m) not in _TEMPLATES:
+            t = NetlistBuilder(m)
+            r = _GENERATORS[blk.kind](t, t.a, t.b, t.cin)
+            _TEMPLATES[blk.kind, m] = (t.gates, r.sums, r.cout, r.carries)
+        gates, local_sums, cout, carries = _TEMPLATES[blk.kind, m]
+        for _ in range(copies):
+            ids = b.place(gates, b.a[lo : lo + m] + b.b[lo : lo + m] + (carry,))
+            sums += [ids[nid] for nid in local_sums]
+            exposed += [(lo + k, ids[nid]) for k, nid in carries if lo + k != width]
+            carry = ids[cout]
+            lo += m
     return b.finish(sums, cout=carry, carries=exposed)

@@ -91,7 +91,7 @@ def from_text(text: str) -> Netlist:
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
         by_name[out_name] = len(names)
-        gates.append(tuple.__new__(Gate, (kind, ins)))  # one C call, see add_gate
+        gates.append(tuple.__new__(Gate, (kind, ins)))  # one C call, see NetlistBuilder.place
         names.append(out_name)
 
     if outputs_line is None:

@@ -143,19 +143,22 @@ def input_names(width: int) -> list[str]:
 class NetlistBuilder:
     """Append-only netlist constructor.
 
-    Gate ids are assigned sequentially and gate k drives a fresh
-    internal net named n<k>, so a builder can only ever describe a DAG.
-    ``finish`` renames the chosen output nets to their canonical names
-    and freezes the result.
+    Gate ids are assigned sequentially and gate k drives the fresh
+    internal net 2w+1+k, which ``finish`` names n<k>. ``finish`` names
+    the chosen output nets canonically, validates (so a placed gate
+    that reads a later net is refused) and freezes the result.
     """
 
     def __init__(self, width: int):
         if not isinstance(width, int) or width < 1:
             raise InvalidWidth(f"adder width must be a positive integer, got {width!r}")
         self.width = width
-        self._nets = input_names(width)
         self.a, self.b, self.cin = input_layout(width)
         self._gates: list[Gate] = []
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(self._gates)
 
     @property
     def gate_count(self) -> int:
@@ -163,17 +166,21 @@ class NetlistBuilder:
 
     def add_gate(self, kind: CellKind, inputs: list[int] | tuple[int, ...]) -> int:
         """Append a gate reading ``inputs``, return its fresh output net id."""
-        need = kind.arity
-        if len(inputs) != need:
-            raise ArityMismatch(f"{kind.value} takes {need} inputs, got {len(inputs)}")
-        nnets = len(self._nets)
+        if len(inputs) != kind.arity:
+            raise ArityMismatch(f"{kind.value} takes {kind.arity} inputs, got {len(inputs)}")
+        return self.place((Gate(kind, tuple(range(len(inputs)))),), inputs)[-1]
+
+    def place(self, gates: tuple[Gate, ...], inputs: list[int] | tuple[int, ...]) -> list[int]:
+        """Append ``gates`` written in local net ids (id i < len(inputs) is net ``inputs[i]``,
+        then gate j drives the next free net); return the global id of every local id."""
+        nnets = 2 * self.width + 1 + len(self._gates)
         if min(inputs) < 0 or max(inputs) >= nnets:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
             raise DanglingInput(f"no net with id {bad}")
-        self._nets.append(f"n{len(self._gates)}")
+        ids = [*inputs, *range(nnets, nnets + len(gates))]
         # tuple.__new__ skips the generated Python __new__: one C call per gate
-        self._gates.append(tuple.__new__(Gate, (kind, tuple(inputs))))
-        return nnets
+        self._gates += [tuple.__new__(Gate, (g[0], tuple([ids[i] for i in g[1]]))) for g in gates]
+        return ids
 
     def finish(
         self,
@@ -206,7 +213,7 @@ class NetlistBuilder:
             rename[nid] = f"c{k}"
         if len(rename) != len(sums) + 1 + len(carries):
             raise InvalidNetlist([Violation("DuplicateOutput", "output nets must be distinct")])
-        nets = list(self._nets)
+        nets = input_names(self.width) + [f"n{k}" for k in range(len(self._gates))]
         for nid, name in rename.items():
             if 0 <= nid < len(nets):
                 nets[nid] = name

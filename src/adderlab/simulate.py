@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -139,9 +139,9 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
     only when that fails is each vector checked, so the error names the
     first bad one.
     """
-    a = list(map(operator.index, [v.a for v in vectors]))
-    b = list(map(operator.index, [v.b for v in vectors]))
-    cin = list(map(operator.index, [v.cin for v in vectors]))
+    # not zip(*vectors): one live iterator per vector trips a GC pass on a large batch
+    flat = list(map(operator.index, chain.from_iterable(vectors)))
+    a, b, cin = flat[0::3], flat[1::3], flat[2::3]
     top = (1 << width) - 1
     if not (
         vectors

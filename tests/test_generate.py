@@ -7,12 +7,14 @@ evaluation to define expectations.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adderlab import (
+    BlockKind,
     CellKind,
     carry_terms,
     compose,
@@ -24,6 +26,7 @@ from adderlab import (
     gen_scbcla_block,
     gen_scclg,
     NetlistBuilder,
+    parse_arch_spec,
     preset,
     to_text,
     validate,
@@ -31,6 +34,7 @@ from adderlab import (
     InputVector,
     PRESETS,
 )
+from adderlab import generate
 from adderlab.errors import InvalidBlockWidth
 from adderlab.generate import PGBundle
 
@@ -288,3 +292,86 @@ def test_random_architectures_add_correctly(rng):
     spec = random_arch_string(rng, lo=2, hi=8)
     nl = compose(spec)
     assert verify_exhaustive_netlist(nl) is None, spec
+
+
+# ---------------------------------------------------------------------------
+# template placement
+
+
+GENERATORS = {
+    BlockKind.RCA: gen_rca_block,
+    BlockKind.CCLA: gen_ccla_block,
+    BlockKind.SCBCLA: gen_scbcla_block,
+}
+
+
+def compose_gate_by_gate(text):
+    """Reference compose: every section's generator on one builder, then finish."""
+    spec = parse_arch_spec(text)
+    w = spec.total_width
+    b = NetlistBuilder(w)
+    sums, exposed, carry, lo = [], [], b.cin, 0
+    for blk in spec.blocks:
+        hi = lo + blk.width
+        res = GENERATORS[blk.kind](b, b.a[lo:hi], b.b[lo:hi], carry)
+        sums += res.sums
+        exposed += [(lo + k, nid) for k, nid in res.carries if lo + k != w]
+        carry, lo = res.cout, hi
+    return b.finish(sums, cout=carry, carries=exposed)
+
+
+def assert_placement_matches(texts, seed):
+    texts = list(texts)
+    random.Random(seed).shuffle(texts)
+    for text in texts:
+        placed, reference = compose(text), compose_gate_by_gate(text)
+        assert placed == reference, text
+        assert to_text(placed) == to_text(reference), text
+
+
+PRESET_TEXTS = [PRESETS[name] for name in sorted(PRESETS)]
+WIDE_TEXTS = ["scbcla:4x256", "ccla:4x256", "rca:1024"]
+
+
+def test_template_placement_equals_gate_by_gate_building(monkeypatch):
+    monkeypatch.setattr(generate, "_TEMPLATES", {})
+    assert_placement_matches(PRESET_TEXTS + WIDE_TEXTS, seed=7)
+
+
+block_term = st.one_of(
+    st.tuples(st.just("rca"), st.integers(1, 8)),
+    st.tuples(st.sampled_from(["ccla", "scbcla"]), st.integers(2, 8)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(block_term, min_size=1, max_size=6), min_size=1, max_size=4),
+       st.integers(0, 2**32))
+def test_template_placement_equals_gate_by_gate_on_random_architectures(archs, seed):
+    texts = [",".join(f"{kind}:{m}" for kind, m in blocks) for blocks in archs]
+    assert_placement_matches(texts, seed)
+
+
+def _made_of_tuples(x):
+    if isinstance(x, tuple):
+        return all(_made_of_tuples(y) for y in x)
+    return isinstance(x, (int, CellKind))
+
+
+def test_template_cache_stays_small_and_immutable(monkeypatch):
+    monkeypatch.setattr(generate, "_TEMPLATES", {})
+    texts = ["rca:1024", "scbcla:4x256"] + PRESET_TEXTS
+    for text in texts:
+        compose(text)
+    cache = generate._TEMPLATES
+    assert cache and all(_made_of_tuples(t) for t in cache.values())
+    assert [m for kind, m in cache if kind is BlockKind.RCA] == [1]
+    # the largest lookahead section composed, built straight from its generator
+    widest = 0
+    for text in texts:
+        for blk in parse_arch_spec(text).blocks:
+            if blk.kind is not BlockKind.RCA:
+                b = NetlistBuilder(blk.width)
+                GENERATORS[blk.kind](b, b.a, b.b, b.cin)
+                widest = max(widest, b.gate_count)
+    assert max(len(gates) for gates, *_ in cache.values()) <= widest

@@ -40,7 +40,7 @@ from adderlab.netlist import Violation
 def test_builder_preallocates_primary_inputs():
     b = NetlistBuilder(3)
     names = [f"a[{i}]" for i in range(3)] + [f"b[{i}]" for i in range(3)] + ["cin"]
-    assert [b._nets[n] for n in (*b.a, *b.b, b.cin)] == names
+    assert compose("rca:3").nets[: b.cin + 1] == tuple(names)  # finish names them by id
     assert b.a == (0, 1, 2) and b.b == (3, 4, 5) and b.cin == 6
     assert b.gate_count == 0
 
@@ -84,6 +84,23 @@ def _full_adder_by_hand():
     t = b.add_gate(CellKind.AND2, [p, b.cin])
     c = b.add_gate(CellKind.OR2, [g, t])
     return b, s, c
+
+
+def test_place_maps_local_ids_and_finish_refuses_a_forward_read():
+    # a full adder in local ids: a=0, b=1, cin=2, gate j drives 3+j
+    fa, s, c = _full_adder_by_hand()[0].gates, 4, 7
+    b = NetlistBuilder(2)
+    low = b.place(fa, [b.a[0], b.b[0], b.cin])
+    assert low == [0, 2, 4, 5, 6, 7, 8, 9]
+    high = b.place(fa, [b.a[1], b.b[1], low[c]])
+    assert high == [1, 3, 9, 10, 11, 12, 13, 14]
+    assert b.finish([low[s], high[s]], high[c]) == compose("rca:2")
+    with pytest.raises(DanglingInput, match="^no net with id 15$"):
+        b.place(fa, [b.a[0], b.b[0], 15])
+    bad = NetlistBuilder(1)
+    ids = bad.place((Gate(CellKind.XOR2, (0, 4)), Gate(CellKind.AND2, (1, 2))), [0, 1, 2])
+    with pytest.raises(InvalidNetlist, match="GateOrder"):
+        bad.finish([ids[3]], ids[4])
 
 
 def test_finish_names_outputs_and_freezes():

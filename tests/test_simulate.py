@@ -1,5 +1,6 @@
 """Vector generation, bit-parallel evaluation, toggles and verification."""
 
+import gc
 import io
 
 import numpy as np
@@ -388,6 +389,16 @@ def test_caller_vectors_pack_like_the_stream_they_came_from(width):
     vecs = random_vectors(width, 50, seed=width)
     rows = simulate._stream_rows(width, 0, len(vecs), width)
     assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == simulate._pack(nl, rows)
+
+
+def test_caller_vectors_encode_without_setting_off_a_garbage_collection():
+    # a transpose that holds one live iterator per vector, as zip(*vectors)
+    # does, passes the default gen-0 threshold (700) on every 1024-vector batch
+    vecs = random_vectors(32, 1024, seed=1)
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    simulate._vector_rows(32, vecs)
+    assert gc.get_stats()[0]["collections"] == before
 
 
 # rows spanning three ~64 KB packer blocks of stream rows at each width
