@@ -37,8 +37,12 @@ def to_text(nl: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+# numbers are ASCII decimals as to_text writes them: no other digits and no
+# leading zero (a gate id is compared with str(k) as text)
+_DECIMAL = "(0|[1-9][0-9]*)"
+_WIDTH_RE = re.compile(f"^width {_DECIMAL}$")
 _GATE_RE = re.compile(r"^g(\d+) (\S+) (.+) -> (\S+)$")
-_CARRY_RE = re.compile(r"^c(\d+)$")
+_CARRY_RE = re.compile(f"^c{_DECIMAL}$")
 _KINDS = {kind.value: kind for kind in CellKind}
 
 
@@ -49,7 +53,7 @@ def from_text(text: str) -> Netlist:
     if not lines:
         raise ParseError("empty netlist file", line=1)
 
-    m = re.match(r"^width (\d+)$", lines[0])
+    m = _WIDTH_RE.match(lines[0])
     if not m:
         raise ParseError(f"expected 'width <N>', got {lines[0]!r}", line=1)
     width = int(m.group(1))
@@ -75,7 +79,7 @@ def from_text(text: str) -> Netlist:
         if not m:
             raise ParseError(f"bad gate line {line!r}", line=lineno)
         gid, kind_name, in_text, out_name = m.groups()
-        if int(gid) != len(gates):
+        if gid != str(len(gates)):
             raise ParseError(f"gate ids must be sequential, expected g{len(gates)}", line=lineno)
         if kind_name not in _KINDS:
             raise ParseError(f"unknown cell kind {kind_name!r}", line=lineno)

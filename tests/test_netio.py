@@ -154,10 +154,18 @@ _PARSE_ERRORS = [
     ("empty", "", "empty netlist file", 1),
     ("header", _edit(("width 1", "widht 1")), "expected 'width <N>', got 'widht 1'", 1),
     ("width-0", _edit(("width 1", "width 0")), "width must be >= 1", 1),
+    ("width-digit", _edit(("width 1", "width \u0661")),
+     "expected 'width <N>', got 'width \u0661'", 1),
+    ("width-zero-padded", _edit(("width 1", "width 01")),
+     "expected 'width <N>', got 'width 01'", 1),
     ("too-few-lines", "width 5000\noutputs sum[0]\n",
      "width 5000 needs 5003 lines or more, got 2", 1),
     ("gate-line", _edit((" -> sum[0]", " sum[0]")), "bad gate line 'g1 XOR2 n0 cin sum[0]'", 3),
     ("gate-id", _edit(("g1 XOR2", "g7 XOR2")), "gate ids must be sequential, expected g1", 3),
+    ("gate-id-digit", _edit(("g1 XOR2", "g\uff11 XOR2")),
+     "gate ids must be sequential, expected g1", 3),
+    ("gate-id-zero-padded", _edit(("g1 XOR2", "g01 XOR2")),
+     "gate ids must be sequential, expected g1", 3),
     ("kind", _edit(("g2 AND2", "g2 NAND2")), "unknown cell kind 'NAND2'", 4),
     ("arity", _edit(("OR2 n2 n3", "OR2 n2 n3 n0")), "OR2 takes 2 inputs, got 3", 6),
     ("first-undefined", _edit(("AND2 n0 cin", "AND4 n0 n7 cin n8")),
@@ -172,6 +180,10 @@ _PARSE_ERRORS = [
      "expected 'cout' after the sum outputs", 7),
     ("cout-undriven", _edit(("-> cout", "-> co")), "output net 'cout' is never driven", 7),
     ("carry-name", _edit((_OUTS, "outputs sum[0] cout x1\n")), "bad carry output name 'x1'", 7),
+    ("carry-digit", _edit(("n3", "c\u0661"), (_OUTS, "outputs sum[0] cout c\u0661\n")),
+     "bad carry output name 'c\u0661'", 7),
+    ("carry-zero-padded", _edit(("n3", "c01"), (_OUTS, "outputs sum[0] cout c01\n")),
+     "bad carry output name 'c01'", 7),
     ("carry-order", _edit((_OUTS, "outputs sum[0] cout c0\n")),
      "carry outputs must have ascending indices", 7),
     ("carry-undriven", _edit((_OUTS, "outputs sum[0] cout c1\n")),

@@ -1,5 +1,6 @@
 """Vector generation, bit-parallel evaluation, toggles and verification."""
 
+import functools
 import gc
 import io
 
@@ -382,13 +383,89 @@ def test_counterexamples_match_a_vector_at_a_time_scan(monkeypatch):
     assert max(row_at) >= 8 and max(stream_at) >= 8
 
 
+@functools.cache
+def _stream_pool() -> tuple[tuple, Counterexample]:
+    """Designs of several widths and their mutants, led by a design1 mutant
+    whose first mismatch at seed 1 lies in the second 8-row batch; and that
+    mismatch, found one vector at a time."""
+    d1 = compose(PRESETS["design1"])
+    late = [
+        m for m in map(functools.partial(flip_gate_kind, d1), flippable_gates(d1))
+        if verify_random(m, count=8, seed=1) is None and verify_random(m, count=16, seed=1)
+    ][0]
+    at, expected = first_mismatch_scan(late, random_vectors(32, 16, seed=1))
+    assert 8 <= at < 16 and verify_random(late, count=16, seed=1) == expected
+    pool = [late, d1, compose(PRESETS["rca32"]), compose(PRESETS["design6"])]
+    pool += [flip_gate_kind(d1, k) for k in flippable_gates(d1)[::40]]
+    for spec in ("rca:3", "ccla:2,rca:2", "scbcla:4,rca:3", "rca:65"):
+        nl = compose(spec)
+        pool += [nl, flip_gate_kind(nl, flippable_gates(nl)[-1])]
+    return tuple(pool), expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cached_stream_columns_give_the_cold_cache_result(data):
+    # 8-row batches, so counts fall on both sides of _BATCH and the
+    # two-entry cache churns within one call
+    pool, late_ce = _stream_pool()
+    calls = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, len(pool) - 1), st.integers(1, 40), st.sampled_from([1, 2, 7])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    calls.insert(data.draw(st.integers(0, len(calls))), (0, 16, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BATCH", 8)
+        warm = []
+        for k, count, seed in calls:
+            warm.append(verify_random(pool[k], count=count, seed=seed))
+            assert simulate._stream_columns.cache_info().currsize <= 2
+        for (k, count, seed), got in zip(calls, warm):
+            simulate._stream_columns.cache_clear()
+            assert verify_random(pool[k], count=count, seed=seed) == got
+    assert warm[calls.index((0, 16, 1))] == late_ce
+
+
+def test_a_repeated_stream_is_generated_and_packed_once(monkeypatch):
+    calls = []
+    for name in ("_stream_rows", "_pack"):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(
+            simulate, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    simulate._stream_columns.cache_clear()
+    d1 = compose(PRESETS["design1"])
+    designs = [d1, compose(PRESETS["design6"]), compose(PRESETS["rca32"])]
+    designs.append(flip_gate_kind(d1, flippable_gates(d1)[0]))
+    # 100000 vectors take two batches, one cache entry each
+    assert verify_random(designs[0], count=100000, seed=4) is None
+    assert calls == ["_stream_rows", "_pack"] * 2
+    for nl in designs:
+        verify_random(nl, count=100000, seed=4)
+    assert calls == ["_stream_rows", "_pack"] * 2
+    verify_random(designs[0], count=100000, seed=5)
+    assert calls == ["_stream_rows", "_pack"] * 4
+
+
+def test_a_float_seed_is_rejected_on_a_cold_and_a_warm_cache():
+    nl = compose("rca:4")
+    simulate._stream_columns.cache_clear()
+    with pytest.raises(TypeError):
+        verify_random(nl, count=10, seed=1.0)
+    assert verify_random(nl, count=10, seed=1) is None
+    with pytest.raises(TypeError):
+        verify_random(nl, count=10, seed=1.0)
+
+
 @pytest.mark.parametrize("width", [1, 31, 32, 33, 40, 63, 64, 65, 130])
 def test_caller_vectors_pack_like_the_stream_they_came_from(width):
     # operand fields that straddle uint64 words, and the wide integer path
-    nl = compose(f"rca:{width}")
     vecs = random_vectors(width, 50, seed=width)
     rows = simulate._stream_rows(width, 0, len(vecs), width)
-    assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == simulate._pack(nl, rows)
+    assert simulate._pack(width, simulate._vector_rows(width, vecs)) == simulate._pack(width, rows)
 
 
 def test_caller_vectors_encode_without_setting_off_a_garbage_collection():
@@ -411,7 +488,6 @@ def test_pack_columns_hold_every_row_across_blocks(width, nrows):
     # fewer than 8 rows, a last byte only partly filled, and several blocks,
     # each for stream rows and for rows encoded from caller vectors (at
     # width 1024 those are 257 bytes wide, the stream's 264)
-    nl = compose(f"rca:{width}")
     if nrows == "three-blocks":
         nrows = _THREE_BLOCKS[width]
         assert nrows % 8 and nrows * 8 * -(-(2 * width + 1) // 64) > 3 * 2**16
@@ -422,8 +498,8 @@ def test_pack_columns_hold_every_row_across_blocks(width, nrows):
     # one column per input net in id order: a[0..w), b[0..w), cin
     expected = by_bit[width - 1 :: -1] + by_bit[2 * width - 1 : width - 1 : -1]
     expected.append(by_bit[2 * width])
-    assert simulate._pack(nl, simulate._stream_rows(width, 0, nrows, 5)) == expected
-    assert simulate._pack(nl, simulate._vector_rows(width, vecs)) == expected
+    assert simulate._pack(width, simulate._stream_rows(width, 0, nrows, 5)) == expected
+    assert simulate._pack(width, simulate._vector_rows(width, vecs)) == expected
 
 
 def test_verify_exhaustive_covers_every_input():
