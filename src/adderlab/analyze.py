@@ -62,15 +62,12 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
     Arrival-time ties are broken toward the smaller driving gate id (a
     primary input beats any gate), so the reported path is deterministic.
     """
-    if not nl.gates:
-        return 0.0, ()
-    order = topo_order(nl)  # before _net_caps, which indexes every read
+    topo_order(nl)  # before _net_caps, which indexes every read
     caps = _net_caps(nl, lib)
     off = nl.offset
     arrival = [0.0] * len(nl.nets)
-    pred: dict[int, int] = {}
-    for gid in order:
-        g = nl.gates[gid]
+    pred: list[int] = []
+    for gid, g in enumerate(nl.gates):
         cell = lib.cells[g.kind]
         delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * caps[off + gid]
         best_t = -1.0
@@ -81,7 +78,7 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
             if t > best_t or (t == best_t and p < best_pred):
                 best_t, best_pred = t, p
         arrival[off + gid] = best_t + delay
-        pred[gid] = best_pred
+        pred.append(best_pred)
     end_t = -1.0
     end_gid = -1
     for nid in nl.primary_outputs():

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .errors import InvalidBlockWidth, ParseError, UnknownPreset
 
@@ -63,16 +64,10 @@ class ArchitectureSpec:
     def to_string(self) -> str:
         """Canonical text form (repeats collapsed with the x suffix)."""
         parts: list[str] = []
-        i = 0
-        while i < len(self.blocks):
-            j = i
-            while j < len(self.blocks) and self.blocks[j] == self.blocks[i]:
-                j += 1
-            term = f"{self.blocks[i].kind.value}:{self.blocks[i].width}"
-            if j - i > 1:
-                term += f"x{j - i}"
-            parts.append(term)
-            i = j
+        for block, run in groupby(self.blocks):
+            repeat = len(list(run))
+            term = f"{block.kind.value}:{block.width}"
+            parts.append(term if repeat == 1 else f"{term}x{repeat}")
         return ",".join(parts)
 
 

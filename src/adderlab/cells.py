@@ -114,6 +114,12 @@ def serialize_library(lib: CellLibrary) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidCellValue(f"{what} must be a number")
+    return float(value)
+
+
 def parse_library(text: str) -> CellLibrary:
     """Parse a JSON library document; see serialize_library for the schema."""
     try:
@@ -143,19 +149,12 @@ def parse_library(text: str) -> CellLibrary:
         missing = [n for n in _MODEL_FIELDS if n not in body]
         if missing:
             raise IncompleteLibrary(f"cell {key!r} missing {', '.join(missing)}")
-        values = {}
-        for n in _MODEL_FIELDS:
-            v = body[n]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise InvalidCellValue(f"cell {key!r}: {n} must be a number")
-            values[n] = float(v)
+        values = {n: _number(body[n], f"cell {key!r}: {n}") for n in _MODEL_FIELDS}
         cells[kind] = CellModel(kind, **values)
 
-    if not isinstance(vdd, (int, float)) or isinstance(vdd, bool):
-        raise InvalidCellValue("vdd_v must be a number")
-    if not isinstance(load, (int, float)) or isinstance(load, bool):
-        raise InvalidCellValue("output_load_ff must be a number")
-    return CellLibrary(name=str(name), vdd_v=float(vdd), output_load_ff=float(load), cells=cells)
+    vdd = _number(vdd, "vdd_v")
+    load = _number(load, "output_load_ff")
+    return CellLibrary(name=str(name), vdd_v=vdd, output_load_ff=load, cells=cells)
 
 
 def load_library(path: str) -> CellLibrary:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import _MIN_WIDTH, ArchitectureSpec, BlockKind, coerce_arch
+from .arch import ArchitectureSpec, BlockKind, BlockSpec, coerce_arch
 from .errors import InvalidBlockWidth
 from .netlist import CellKind, Netlist, NetlistBuilder
 
@@ -200,11 +200,7 @@ def gen_scclg(b: NetlistBuilder, pg: PGBundle, c0: int) -> int:
 def _check_block(a_nets, b_nets, kind: BlockKind) -> int:
     if len(a_nets) != len(b_nets):
         raise InvalidBlockWidth("a and b slices must have equal length")
-    m = len(a_nets)
-    least = _MIN_WIDTH[kind]
-    if m < least:
-        raise InvalidBlockWidth(f"{kind.value} block needs width >= {least}, got {m}")
-    return m
+    return BlockSpec(kind, len(a_nets)).width
 
 
 def gen_rca_block(b: NetlistBuilder, a_nets, b_nets, cin: int) -> BlockNets:

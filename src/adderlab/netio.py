@@ -66,12 +66,8 @@ def from_text(text: str) -> Netlist:
     by_name = {name: nid for nid, name in enumerate(names)}
 
     gates: list[Gate] = []
-    outputs_line: str | None = None
-    outputs_lineno = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("outputs "):
-            outputs_line = line
-            outputs_lineno = lineno
             if lineno != len(lines):
                 raise ParseError("content after outputs line", line=lineno + 1)
             break
@@ -97,40 +93,35 @@ def from_text(text: str) -> Netlist:
         by_name[out_name] = len(names)
         gates.append(tuple.__new__(Gate, (kind, ins)))  # one C call, see NetlistBuilder.place
         names.append(out_name)
-
-    if outputs_line is None:
+    else:
         raise ParseError("missing outputs line", line=len(lines) + 1)
 
-    tokens = outputs_line.split(" ")[1:]
+    tokens = line.split(" ")[1:]
     if len(tokens) < width + 1:
-        raise ParseError(f"outputs line needs at least {width + 1} names", line=outputs_lineno)
-    sums = []
-    for i in range(width):
-        want = f"sum[{i}]"
+        raise ParseError(f"outputs line needs at least {width + 1} names", line=lineno)
+    ports = [f"sum[{i}]" for i in range(width)] + ["cout"]
+    for i, want in enumerate(ports):
         if tokens[i] != want:
-            raise ParseError(f"expected {want!r} at position {i}", line=outputs_lineno)
+            where = "after the sum outputs" if want == "cout" else f"at position {i}"
+            raise ParseError(f"expected {want!r} {where}", line=lineno)
         if want not in by_name:
-            raise ParseError(f"output net {want!r} is never driven", line=outputs_lineno)
-        sums.append(by_name[want])
-    if tokens[width] != "cout":
-        raise ParseError("expected 'cout' after the sum outputs", line=outputs_lineno)
-    if "cout" not in by_name:
-        raise ParseError("output net 'cout' is never driven", line=outputs_lineno)
+            raise ParseError(f"output net {want!r} is never driven", line=lineno)
+    *sums, cout = map(by_name.__getitem__, ports)
     carries = []
     last_k = 0
     for tok in tokens[width + 1 :]:
         m = _CARRY_RE.match(tok)
         if not m:
-            raise ParseError(f"bad carry output name {tok!r}", line=outputs_lineno)
+            raise ParseError(f"bad carry output name {tok!r}", line=lineno)
         k = int(m.group(1))
         if k <= last_k:
-            raise ParseError("carry outputs must have ascending indices", line=outputs_lineno)
+            raise ParseError("carry outputs must have ascending indices", line=lineno)
         last_k = k
         if tok not in by_name:
-            raise ParseError(f"output net {tok!r} is never driven", line=outputs_lineno)
+            raise ParseError(f"output net {tok!r} is never driven", line=lineno)
         if k >= width:
             raise ParseError(
-                f"carry output {tok!r} is not below the width {width}", line=outputs_lineno
+                f"carry output {tok!r} is not below the width {width}", line=lineno
             )
         carries.append(by_name[tok])
 
@@ -139,7 +130,7 @@ def from_text(text: str) -> Netlist:
         nets=tuple(names),
         gates=tuple(gates),
         sums=tuple(sums),
-        cout=by_name["cout"],
+        cout=cout,
         carries=tuple(carries),
     )
     problems = validate(nl)

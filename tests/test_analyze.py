@@ -16,6 +16,8 @@ from hypothesis import given, strategies as st
 from adderlab import (
     AnalysisReport,
     CellKind,
+    Gate,
+    Netlist,
     PRESETS,
     ToggleStats,
     analyze_design,
@@ -36,7 +38,7 @@ from adderlab import (
     run_vectors,
 )
 from adderlab.analyze import Improvement
-from adderlab.errors import InvalidMetric, NothingToCompare
+from adderlab.errors import InvalidMetric, InvalidNetlist, NothingToCompare
 
 from conftest import TABLE1_ROWS
 
@@ -106,6 +108,28 @@ def test_critical_path_empty_netlist():
         cout=1,
     )
     assert critical_path(nl, LIB) == (0.0, ())
+
+
+def test_critical_path_checks_the_net_table_without_gates():
+    nl = Netlist(width=1, nets=("x",), gates=(), sums=(0,), cout=0)
+    with pytest.raises(InvalidNetlist, match=r"^NetCount\(1 nets for 0 gates at width 1\)$"):
+        critical_path(nl, LIB)
+
+
+def _one_inverter(sum0, cout):
+    # nets 0-2 are a[0], b[0] and cin; net 3 is driven by the INV of a[0]
+    nets = ("a[0]", "b[0]", "cin", "n3")
+    return Netlist(width=1, nets=nets, gates=(Gate(CellKind.INV, (0,)),), sums=(sum0,), cout=cout)
+
+
+def test_critical_path_skips_outputs_on_primary_inputs():
+    assert critical_path(_one_inverter(0, 1), LIB) == (0.0, ())
+    inv = LIB.cells[CellKind.INV]
+    delay, path = critical_path(_one_inverter(0, 3), LIB)
+    assert delay == inv.intrinsic_delay_ns + inv.load_delay_ns_per_ff * LIB.output_load_ff
+    assert path == (0,)
+    # with zero-delay cells the INV's arrival ties with a[0]'s; the gate is the endpoint
+    assert critical_path(_one_inverter(0, 3), _flat_library(0.0)) == (0.0, (0,))
 
 
 def test_preset_delays_frozen():

@@ -1,10 +1,13 @@
 """Architecture string parsing and the named presets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adderlab import BlockKind, PRESETS, parse_arch_spec, preset
 from adderlab.arch import ArchitectureSpec, BlockSpec
 from adderlab.errors import InvalidBlockWidth, ParseError, UnknownPreset
+
+from conftest import random_arch_string
 
 
 def test_parse_single_block():
@@ -63,6 +66,18 @@ def test_to_string_collapses_runs():
     spec = parse_arch_spec("rca:2,ccla:3,ccla:3,ccla:3,rca:2")
     assert spec.to_string() == "rca:2,ccla:3x3,rca:2"
     assert parse_arch_spec(spec.to_string()) == spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_to_string_round_trips_and_collapses_every_run(rng):
+    # repeating each term makes runs anywhere, the first and last term included
+    terms = random_arch_string(rng, lo=1, hi=12).split(",")
+    spec = parse_arch_spec(",".join(t for t in terms for _ in range(rng.randint(1, 3))))
+    text = spec.to_string()
+    assert parse_arch_spec(text) == spec
+    blocks = [term.split("x")[0] for term in text.split(",")]
+    assert all(left != right for left, right in zip(blocks, blocks[1:])), text
 
 
 def test_to_string_round_trips_presets():

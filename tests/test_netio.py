@@ -162,6 +162,8 @@ _PARSE_ERRORS = [
      "width 5000 needs 5003 lines or more, got 2", 1),
     ("gate-line", _edit((" -> sum[0]", " sum[0]")), "bad gate line 'g1 XOR2 n0 cin sum[0]'", 3),
     ("gate-id", _edit(("g1 XOR2", "g7 XOR2")), "gate ids must be sequential, expected g1", 3),
+    ("gate-id-no-outputs", _edit(("g1 XOR2", "g7 XOR2"), (_OUTS, "")),
+     "gate ids must be sequential, expected g1", 3),
     ("gate-id-digit", _edit(("g1 XOR2", "g\uff11 XOR2")),
      "gate ids must be sequential, expected g1", 3),
     ("gate-id-zero-padded", _edit(("g1 XOR2", "g01 XOR2")),
@@ -175,10 +177,16 @@ _PARSE_ERRORS = [
     ("after-outputs", FULL_ADDER_TEXT + "g5 INV n0 -> n9\n", "content after outputs line", 8),
     ("few-outputs", _edit((_OUTS, "outputs sum[0]\n")), "outputs line needs at least 2 names", 7),
     ("sum-order", _edit((_OUTS, "outputs cout sum[0]\n")), "expected 'sum[0]' at position 0", 7),
+    ("sum-order-undriven", _edit(("-> sum[0]", "-> s0"), (_OUTS, "outputs cout sum[0]\n")),
+     "expected 'sum[0]' at position 0", 7),
     ("sum-undriven", _edit(("-> sum[0]", "-> s0")), "output net 'sum[0]' is never driven", 7),
+    ("sum-undriven-cout-name", _edit(("-> sum[0]", "-> s0"), (_OUTS, "outputs sum[0] co\n")),
+     "output net 'sum[0]' is never driven", 7),
     ("cout-name", _edit((_OUTS, "outputs sum[0] sum[0]\n")),
      "expected 'cout' after the sum outputs", 7),
     ("cout-undriven", _edit(("-> cout", "-> co")), "output net 'cout' is never driven", 7),
+    ("cout-undriven-bad-carry", _edit(("-> cout", "-> co"), (_OUTS, "outputs sum[0] cout c0\n")),
+     "output net 'cout' is never driven", 7),
     ("carry-name", _edit((_OUTS, "outputs sum[0] cout x1\n")), "bad carry output name 'x1'", 7),
     ("carry-digit", _edit(("n3", "c\u0661"), (_OUTS, "outputs sum[0] cout c\u0661\n")),
      "bad carry output name 'c\u0661'", 7),
