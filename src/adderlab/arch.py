@@ -84,7 +84,9 @@ def parse_arch_spec(text: str) -> ArchitectureSpec:
     Raises ParseError for syntax problems and InvalidBlockWidth when a
     width or repeat count is out of range.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"architecture must be a string, got {type(text).__name__}")
+    if not text.strip():
         raise ParseError("empty architecture string")
     blocks: list[BlockSpec] = []
     for raw in text.split(","):

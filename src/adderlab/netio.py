@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .netlist import CellKind, Gate, Netlist, input_names, validate
+from .netlist import CellKind, Gate, Netlist, Violation, input_names
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -38,10 +38,9 @@ def to_text(nl: Netlist) -> str:
 
 
 # numbers are ASCII decimals as to_text writes them: no other digits and no
-# leading zero (a gate id is compared with str(k) as text)
+# leading zero (a gate id is compared with g<k> as text)
 _DECIMAL = "(0|[1-9][0-9]*)"
 _WIDTH_RE = re.compile(f"^width {_DECIMAL}$")
-_GATE_RE = re.compile(r"^g(\d+) (\S+) (.+) -> (\S+)$")
 _CARRY_RE = re.compile(f"^c{_DECIMAL}$")
 _KINDS = {kind.value: kind for kind in CellKind}
 
@@ -62,80 +61,74 @@ def from_text(text: str) -> Netlist:
     if len(lines) < width + 3:  # header, outputs and one gate per sum[i] and cout
         raise ParseError(f"width {width} needs {width + 3} lines or more, got {len(lines)}", line=1)
 
-    names = input_names(width)
-    by_name = {name: nid for nid, name in enumerate(names)}
-
+    by_name = {name: nid for nid, name in enumerate(input_names(width))}  # in id order
+    read = bytearray(len(by_name) + len(lines) - 2)  # a flag per net: one net per gate line
     gates: list[Gate] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("outputs "):
+        gid = f"g{lineno - 2}"
+        try:  # g<digits> <kind> <inputs> -> <output>, split on single spaces
+            tag, kind_name, *ins, arrow, out_name = line.split(" ")
+            if (
+                ((kind := _KINDS.get(kind_name)) is None and kind_name.split() != [kind_name])
+                or arrow != "->"
+                or ins in ([], [""])  # no input text
+                or (tag != gid and not (tag[:1] == "g" and tag[1:].isdecimal()))
+                or out_name.split() != [out_name]  # empty or holds whitespace
+            ):
+                raise ValueError
+        except ValueError:  # also fewer than four parts; an outputs line always lands here
+            if not line.startswith("outputs "):
+                raise ParseError(f"bad gate line {line!r}", line=lineno) from None
             if lineno != len(lines):
-                raise ParseError("content after outputs line", line=lineno + 1)
+                raise ParseError("content after outputs line", line=lineno + 1) from None
             break
-        m = _GATE_RE.match(line)
-        if not m:
-            raise ParseError(f"bad gate line {line!r}", line=lineno)
-        gid, kind_name, in_text, out_name = m.groups()
-        if gid != str(len(gates)):
-            raise ParseError(f"gate ids must be sequential, expected g{len(gates)}", line=lineno)
-        if kind_name not in _KINDS:
+        if tag != gid:
+            raise ParseError(f"gate ids must be sequential, expected {gid}", line=lineno)
+        if kind is None:
             raise ParseError(f"unknown cell kind {kind_name!r}", line=lineno)
-        kind = _KINDS[kind_name]
-        need = kind.arity
-        in_names = in_text.split(" ")
-        if len(in_names) != need:
-            raise ParseError(f"{kind_name} takes {need} inputs, got {len(in_names)}", line=lineno)
-        try:
-            ins = tuple(map(by_name.__getitem__, in_names))
-        except KeyError as exc:
-            raise ParseError(f"input net {exc.args[0]!r} is not defined yet", line=lineno) from None
+        if len(ins) != kind.arity:
+            raise ParseError(f"{kind_name} takes {kind.arity} inputs, got {len(ins)}", line=lineno)
+        ids = tuple(map(by_name.get, ins))
+        if None in ids:
+            raise ParseError(f"input net {ins[ids.index(None)]!r} is not defined yet", line=lineno)
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
-        by_name[out_name] = len(names)
-        gates.append(tuple.__new__(Gate, (kind, ins)))  # one C call, see NetlistBuilder.place
-        names.append(out_name)
+        for nid in ids:
+            read[nid] = 1
+        by_name[out_name] = len(by_name)
+        gates.append(tuple.__new__(Gate, (kind, ids)))  # one C call, see NetlistBuilder.place
     else:
         raise ParseError("missing outputs line", line=len(lines) + 1)
 
     tokens = line.split(" ")[1:]
     if len(tokens) < width + 1:
         raise ParseError(f"outputs line needs at least {width + 1} names", line=lineno)
-    ports = [f"sum[{i}]" for i in range(width)] + ["cout"]
-    for i, want in enumerate(ports):
-        if tokens[i] != want:
-            where = "after the sum outputs" if want == "cout" else f"at position {i}"
-            raise ParseError(f"expected {want!r} {where}", line=lineno)
-        if want not in by_name:
-            raise ParseError(f"output net {want!r} is never driven", line=lineno)
-    *sums, cout = map(by_name.__getitem__, ports)
-    carries = []
-    last_k = 0
-    for tok in tokens[width + 1 :]:
-        m = _CARRY_RE.match(tok)
-        if not m:
+    outputs, last_k = [], 0  # sum[0..width), cout, then carries c<k> with 0 < k < width
+    for i, tok in enumerate(tokens):
+        if i <= width:
+            want = "cout" if i == width else f"sum[{i}]"
+            if tok != want:
+                where = "after the sum outputs" if i == width else f"at position {i}"
+                raise ParseError(f"expected {want!r} {where}", line=lineno)
+        elif not (m := _CARRY_RE.match(tok)):
             raise ParseError(f"bad carry output name {tok!r}", line=lineno)
-        k = int(m.group(1))
-        if k <= last_k:
+        elif int(m.group(1)) <= last_k:
             raise ParseError("carry outputs must have ascending indices", line=lineno)
-        last_k = k
+        else:
+            last_k = int(m.group(1))
         if tok not in by_name:
             raise ParseError(f"output net {tok!r} is never driven", line=lineno)
-        if k >= width:
-            raise ParseError(
-                f"carry output {tok!r} is not below the width {width}", line=lineno
-            )
-        carries.append(by_name[tok])
-
-    nl = Netlist(
-        width=width,
-        nets=tuple(names),
-        gates=tuple(gates),
-        sums=tuple(sums),
-        cout=cout,
-        carries=tuple(carries),
-    )
-    problems = validate(nl)
-    if problems:
-        raise ParseError("; ".join(str(p) for p in problems))
+        if i > width and last_k >= width:
+            raise ParseError(f"carry output {tok!r} is not below the width {width}", line=lineno)
+        outputs.append(by_name[tok])
+        read[outputs[-1]] = 1
+    names, off = tuple(by_name), 2 * width + 1
+    if 0 in read[off:]:  # a gate's net that no gate reads and that is no output
+        unread = [Violation("DanglingNet", n) for n, r in zip(names[off:], read[off:]) if not r]
+        raise ParseError("; ".join(map(str, unread)))
+    sums, cout, carries = tuple(outputs[:width]), outputs[width], tuple(outputs[width + 1 :])
+    nl = Netlist(width, names, tuple(gates), sums, cout, carries)
+    object.__setattr__(nl, "_checked", True)  # see topo_order
     return nl
 
 

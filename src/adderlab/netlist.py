@@ -228,6 +228,7 @@ class NetlistBuilder:
         problems = validate(nl)
         if problems:
             raise InvalidNetlist(problems)
+        object.__setattr__(nl, "_checked", True)  # see topo_order
         return nl
 
 
@@ -295,14 +296,18 @@ def topo_order(nl: Netlist) -> tuple[int, ...]:
     """Gate ids in evaluation order, which is always 0..n-1.
 
     A netlist lists its gates in dependency order: gate k reads only
-    primary inputs and the nets of gates below k. ``NetlistBuilder``
-    and ``from_text`` cannot build anything else. Raises InvalidNetlist
-    (NetCount or DanglingPort, as ``validate`` reports them) when the
-    net table or a port id does not fit the gates; then GateOrder naming
-    the first gate that reads its own net or a later gate's (every cycle
-    holds such a read); failing that, DanglingInput naming the first
-    read outside the net table, such as a negative id.
+    primary inputs and the nets of gates below k. ``NetlistBuilder.finish``
+    and ``from_text`` check all of ``validate``, build only tuples and
+    mark what they return, which this then trusts; any other Netlist, a
+    ``dataclasses.replace`` copy too, is checked on every call. Raises
+    InvalidNetlist (NetCount or DanglingPort, as ``validate`` reports
+    them) when the net table or a port id does not fit the gates; then
+    GateOrder naming the first gate that reads its own net or a later
+    gate's (every cycle holds such a read); failing that, DanglingInput
+    naming the first read outside the net table, such as a negative id.
     """
+    if getattr(nl, "_checked", False):
+        return tuple(range(len(nl.gates)))
     bad = _layout_violations(nl)
     if bad:
         raise InvalidNetlist(bad)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adderlab import BlockKind, PRESETS, parse_arch_spec, preset
+from adderlab import BlockKind, PRESETS, compose, parse_arch_spec, preset
 from adderlab.arch import ArchitectureSpec, BlockSpec
 from adderlab.errors import InvalidBlockWidth, ParseError, UnknownPreset
 
@@ -41,6 +41,24 @@ def test_blocks_are_listed_lsb_first():
 def test_parse_rejects_malformed_terms(text):
     with pytest.raises(ParseError):
         parse_arch_spec(text)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (["rca:4"], "architecture must be a string, got list"),
+        (None, "architecture must be a string, got NoneType"),
+        (3, "architecture must be a string, got int"),
+        (b"rca:4", "architecture must be a string, got bytes"),
+        ("", "empty architecture string"),
+        ("  ", "empty architecture string"),
+    ],
+)
+def test_parse_names_a_missing_or_non_string_architecture(spec, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_arch_spec(spec)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        compose(spec)
 
 
 @pytest.mark.parametrize("text", ["ccla:1", "scbcla:1", "rca:0", "scbcla:0x3", "rca:2x0"])

@@ -1,11 +1,25 @@
 """Netlist text format round-trips and the structural verilog emitter."""
 
+import dataclasses
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adderlab import PRESETS, Gate, compose, from_text, read_text, to_text, to_verilog, write_text
+from adderlab import (
+    PRESETS,
+    Gate,
+    compose,
+    from_text,
+    read_text,
+    to_text,
+    to_verilog,
+    validate,
+    write_text,
+)
 from adderlab.errors import InvalidWidth, ParseError
+
+from conftest import random_arch_string
 
 FULL_ADDER_TEXT = (
     "width 1\n"
@@ -198,6 +212,20 @@ _PARSE_ERRORS = [
      "output net 'c1' is never driven", 7),
     ("carry-width", _edit(("n3", "c1"), (_OUTS, "outputs sum[0] cout c1\n")),
      "carry output 'c1' is not below the width 1", 7),
+    ("gate-line-cr", _edit(("-> n2\n", "-> n2\r\n")),
+     "bad gate line 'g2 AND2 a[0] b[0] -> n2\\r'", 4),
+    ("gate-line-trailing-space", _edit(("-> n2\n", "-> n2 \n")),
+     "bad gate line 'g2 AND2 a[0] b[0] -> n2 '", 4),
+    ("gate-line-tab-in-output", _edit(("-> n2\n", "-> n\t2\n")),
+     "bad gate line 'g2 AND2 a[0] b[0] -> n\\t2'", 4),
+    ("gate-line-nbsp-after-kind", _edit(("g2 AND2 ", "g2 AND2\xa0")),
+     "bad gate line 'g2 AND2\\xa0a[0] b[0] -> n2'", 4),
+    ("gate-line-no-arrow", _edit(("b[0] -> n2", "b[0] n2")),
+     "bad gate line 'g2 AND2 a[0] b[0] n2'", 4),
+    ("arity-double-space", _edit(("AND2 a[0] b[0] ->", "AND2 a[0]  b[0] ->")),
+     "AND2 takes 2 inputs, got 3", 4),
+    ("arity-two-arrows", _edit(("AND2 a[0] b[0] ->", "AND2 a[0] -> b[0] ->")),
+     "AND2 takes 2 inputs, got 3", 4),
     ("validate", _edit(("OR2 n2 n3", "OR2 n2 n0")), "DanglingNet(n3)", None),
 ]
 
@@ -212,6 +240,11 @@ def test_parse_error_messages_and_lines(text, message, line):
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
+def test_parse_accepts_a_net_named_arrow():
+    nl = from_text(_edit(("b[0] -> n2", "b[0] -> ->"), ("OR2 n2 n3", "OR2 -> n3")))
+    assert nl.nets[nl.gates[4].inputs[0]] == "->"
+
+
 def test_parse_accepts_carry_outputs_in_ascending_order():
     nl = from_text(to_text(compose("scbcla:2,rca:1")))
     assert [nl.nets[n] for n in nl.carries] == ["c2"]
@@ -224,6 +257,55 @@ def test_parse_rejects_carry_outputs_at_or_beyond_the_width(name):
     with pytest.raises(ParseError, match=f"'{name}' is not below the width 2") as exc:
         from_text(text.replace(" c1", f" {name}"))
     assert exc.value.line == len(text.splitlines())
+
+
+# characters that sit near the edges of the gate-line grammar
+_EDIT_CHARS = " \t\r\xa0\x1c->g0123456789n[]abcoutsAND2OR3INV\u0661"
+
+
+@st.composite
+def one_line_edits(draw):
+    """A random architecture's netlist, and its text with one line deleted,
+    swapped or duplicated, one character inserted or deleted, or one gate
+    input changed to another net defined above it (a header or outputs
+    line drawn for that loses a character instead)."""
+    nl = compose(random_arch_string(draw(st.randoms(use_true_random=False)), 1, 8))
+    lines = to_text(nl).splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["delete", "swap", "duplicate", "insert", "remove", "reread"]))
+    if edit == "reread" and 0 < i < len(lines) - 1:  # a gate line: g<k> KIND ins... -> out
+        parts = lines[i].split(" ")
+        above = nl.nets[: nl.offset + i - 1]
+        parts[draw(st.integers(2, len(parts) - 3))] = draw(st.sampled_from(above))
+        lines[i] = " ".join(parts)
+    elif edit == "delete":
+        del lines[i]
+    elif edit == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "insert":
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(_EDIT_CHARS)) + lines[i][at:]
+    else:
+        at = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:at] + lines[i][at + 1 :]
+    return nl, "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_line_edits())
+def test_parsed_netlists_and_one_line_edits_pass_validate(case):
+    # validate a dataclasses.replace copy: topo_order trusts what from_text returns
+    nl, edited = case
+    again = from_text(to_text(nl))
+    assert again == nl and validate(dataclasses.replace(again)) == []
+    try:
+        parsed = from_text(edited)
+    except ParseError:
+        return
+    assert validate(dataclasses.replace(parsed)) == []
 
 
 def test_file_round_trip(tmp_path):

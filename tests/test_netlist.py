@@ -431,6 +431,29 @@ def test_every_entry_point_rejects_a_net_table_or_port_that_does_not_fit(entry, 
     assert info.value.violations == validate(bad) != []
 
 
+def test_a_hand_built_netlist_is_checked_on_every_call():
+    nl = compose("rca:1")
+    gates = list(nl.gates)
+    hand = Netlist(nl.width, list(nl.nets), gates, nl.sums, nl.cout)
+    assert topo_order(hand) == (0, 1, 2, 3, 4)
+    gates[0] = gates[0]._replace(inputs=(4, 2))  # g0 now reads g1's net, sum[0]
+    for entry in (topo_order, verify_random, lambda n: critical_path(n, default_library())):
+        with pytest.raises(GateOrder, match=r"^g0 reads net 4$"):
+            entry(hand)
+
+
+@pytest.mark.parametrize(
+    "build", [compose, lambda spec: from_text(to_text(compose(spec)))], ids=["compose", "from_text"]
+)
+def test_a_replaced_copy_of_a_built_netlist_is_checked(build):
+    nl = build("rca:1")
+    assert topo_order(nl) == (0, 1, 2, 3, 4)
+    bad = dataclasses.replace(nl, gates=(nl.gates[0]._replace(inputs=(4, 2)),) + nl.gates[1:])
+    with pytest.raises(GateOrder, match=r"^g0 reads net 4$"):
+        topo_order(bad)
+    assert validate(bad) == [Violation("GateOrder", "g0 reads net 4")]
+
+
 def test_arity_table_covers_every_kind():
     assert [(k.value, k.arity, k.primitive) for k in CellKind] == [
         ("INV", 1, "not"),
