@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .arch import ArchitectureSpec, coerce_arch
@@ -159,7 +159,9 @@ class AnalysisReport:
 
 
 def report_json(report: AnalysisReport) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+    # not asdict, which deep-copies critical_path element by element
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def analyze_design(

@@ -23,8 +23,9 @@ into a (width bits), then b (width bits), then cin (1 bit).
 Input rows (from the stream, from caller vectors, or every input
 combination) are packed ``_BATCH`` at a time into one Python integer per
 primary input net, bit r holding row r, so a gate evaluation is a single
-wide bitwise operation. Checks compare against a bit-parallel
-ripple-carry oracle over the same columns and report the lowest bad row.
+wide bitwise operation. Checks compare against the expected sum and cout
+columns of a bit-parallel ripple-carry oracle over the same columns and
+report the lowest bad row.
 """
 
 from __future__ import annotations
@@ -181,13 +182,16 @@ def _pack(w: int, rows: np.ndarray) -> list[int]:
     """Rows led by a, b (each ``w`` bits, MSB first) and cin -> packed column
     per primary input net in net-id order, bit r holding row r.
 
-    About 64 KB of rows at a time are transposed to byte columns, so each
-    little-endian uint64 holds one byte column of 8 consecutive rows (row
-    8q+i in byte i). An 8x8 bit transpose of that word leaves stream bit
-    8k+m of those rows in byte 7-m of byte column k's word, row 8q+i at bit
-    i: one packed byte of that bit's column.
+    Only the leading ceil((2w+1)/8) bytes of each row hold input bits; the
+    rest is padding and is never read. About 64 KB of those bytes at a time
+    are transposed to byte columns, so each little-endian uint64 holds one
+    byte column of 8 consecutive rows (row 8q+i in byte i). An 8x8 bit
+    transpose of that word leaves stream bit 8k+m of those rows in byte 7-m
+    of byte column k's word, row 8q+i at bit i: one packed byte of that
+    bit's column.
     """
-    nrows, nbytes = rows.shape
+    nrows = len(rows)
+    nbytes = -(-(2 * w + 1) // 8)
     step = 8 * max(1, (1 << 13) // nbytes)
     bit = np.r_[w - 1 : -1 : -1, 2 * w - 1 : w - 1 : -1, 2 * w]  # stream bit per input net
     packed = np.empty((2 * w + 1, -(-nrows // 8)), dtype=np.uint8)
@@ -195,7 +199,7 @@ def _pack(w: int, rows: np.ndarray) -> list[int]:
         block = rows[at : at + step]
         n8 = -(-len(block) // 8)
         cols = np.zeros((nbytes, 8 * n8), dtype=np.uint8)
-        cols[:, : len(block)] = block.T
+        cols[:, : len(block)] = block[:, :nbytes].T
         x = cols.view("<u8")
         for shift, mask in _TRANSPOSE8:
             t = x >> shift
@@ -208,16 +212,33 @@ def _pack(w: int, rows: np.ndarray) -> list[int]:
     return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
+def _expected(width: int, cols: Sequence[int]) -> tuple[int, ...]:
+    """The oracle: packed input columns in net-id order -> the ``width``
+    sum columns of a + b + cin, then its cout column."""
+    carry = cols[2 * width]
+    want = []
+    for x, y in zip(cols[:width], cols[width : 2 * width]):
+        t = x ^ y
+        want.append(t ^ carry)
+        carry = (x & y) | (carry & t)
+    want.append(carry)
+    return tuple(want)
+
+
 @functools.lru_cache(maxsize=2, typed=True)
-def _stream_columns(width: int, start: int, count: int, seed: int) -> tuple[int, ...]:
-    """Packed columns of stream vectors start .. start+count-1.
+def _stream_columns(
+    width: int, start: int, count: int, seed: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Packed input columns of stream vectors start .. start+count-1, and
+    the expected output columns ``_expected`` derives from them.
 
     They depend on no netlist, so checks of several designs on one stream
     share them. Two entries cover a stream of up to 2 * ``_BATCH`` vectors
-    and hold at most 2 * (2*width + 1) * 8 KiB. ``typed`` keeps ``seed=1.0``
+    and hold at most 2 * (3*width + 2) * 8 KiB. ``typed`` keeps ``seed=1.0``
     from hitting the entry of ``seed=1``; a miss raises as the stream does.
     """
-    return tuple(_pack(width, _stream_rows(width, start, count, seed)))
+    cols = tuple(_pack(width, _stream_rows(width, start, count, seed)))
+    return cols, _expected(width, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +377,15 @@ class Counterexample:
         )
 
 
-def _first_mismatch(nl: Netlist, cols: Sequence[int], nrows: int) -> Counterexample | None:
-    """Evaluate packed input columns; the lowest row that is not a + b + cin."""
+def _first_mismatch(
+    nl: Netlist, cols: Sequence[int], nrows: int, want: Sequence[int]
+) -> Counterexample | None:
+    """Evaluate packed input columns; the lowest row whose sum and cout nets
+    differ from ``want``, the columns ``_expected`` gives for ``cols``."""
     values = _eval_packed(nl, cols, nrows)
-    carry = cols[nl.cin]
     diff = 0
-    for a, b, s in zip(nl.a, nl.b, nl.sums):
-        x, y = cols[a], cols[b]
-        diff |= values[s] ^ x ^ y ^ carry
-        carry = (x & y) | (carry & (x ^ y))
-    diff |= values[nl.cout] ^ carry
+    for nid, col in zip((*nl.sums, nl.cout), want):
+        diff |= values[nid] ^ col
     if diff == 0:
         return None
     r = (diff & -diff).bit_length() - 1
@@ -395,7 +415,8 @@ def verify_random(nl: Netlist, count: int = 100000, seed: int = 1) -> Counterexa
     topo_order(nl)
     for at in range(0, count, _BATCH):
         n = min(_BATCH, count - at)
-        bad = _first_mismatch(nl, _stream_columns(nl.width, at, n, seed), n)
+        cols, want = _stream_columns(nl.width, at, n, seed)
+        bad = _first_mismatch(nl, cols, n, want)
         if bad is not None:
             return bad
     return None
@@ -430,7 +451,8 @@ def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:
     topo_order(nl)
     for chunk in range(1 << (nl.offset - low)):
         high = [ones if (chunk >> j) & 1 else 0 for j in range(nl.offset - low)]
-        bad = _first_mismatch(nl, pattern + high, nrows)
+        cols = pattern + high
+        bad = _first_mismatch(nl, cols, nrows, _expected(w, cols))
         if bad is not None:
             return bad
     return None

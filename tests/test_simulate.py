@@ -436,6 +436,11 @@ def test_a_repeated_stream_is_generated_and_packed_once(monkeypatch):
         monkeypatch.setattr(
             simulate, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
+    oracle = []
+    real_expected = simulate._expected
+    monkeypatch.setattr(
+        simulate, "_expected", lambda *args: oracle.append(args[0]) or real_expected(*args)
+    )
     simulate._stream_columns.cache_clear()
     d1 = compose(PRESETS["design1"])
     designs = [d1, compose(PRESETS["design6"]), compose(PRESETS["rca32"])]
@@ -443,11 +448,51 @@ def test_a_repeated_stream_is_generated_and_packed_once(monkeypatch):
     # 100000 vectors take two batches, one cache entry each
     assert verify_random(designs[0], count=100000, seed=4) is None
     assert calls == ["_stream_rows", "_pack"] * 2
+    assert oracle == [32] * 2
     for nl in designs:
         verify_random(nl, count=100000, seed=4)
     assert calls == ["_stream_rows", "_pack"] * 2
+    assert oracle == [32] * 2
     verify_random(designs[0], count=100000, seed=5)
     assert calls == ["_stream_rows", "_pack"] * 4
+    assert oracle == [32] * 4
+
+
+@pytest.mark.parametrize("width", [1, 2, 31, 32, 33, 63, 64, 65, 130])
+def test_expected_columns_hold_the_integer_sum_of_every_row(width):
+    # decoded row by row against Python integers, not a second ripple
+    top = (1 << width) - 1
+    vecs = [InputVector(top, top, 1), InputVector(top, 0, 1), InputVector(0, top, 1)]
+    vecs += [InputVector(top, top, 0), InputVector(0, 0, 0), InputVector(1, top, 0)]
+    vecs += random_vectors(width, 70, seed=width)
+    cols = simulate._pack(width, simulate._vector_rows(width, vecs))
+    want = simulate._expected(width, cols)
+    assert len(want) == width + 1
+    for r, v in enumerate(vecs):
+        total = v.a + v.b + v.cin
+        got = sum(((col >> r) & 1) << i for i, col in enumerate(want))
+        assert got == total, (width, v)
+    assert all(col >> len(vecs) == 0 for col in want)
+
+
+@pytest.mark.parametrize("spec", ["ccla:2,rca:2", PRESETS["design5"], "rca:65"])
+def test_a_mutant_of_the_cout_gate_alone_is_caught_at_its_first_bad_vector(spec):
+    nl = compose(spec)
+    bad = flip_gate_kind(nl, nl.cout - nl.offset)  # only the gate driving cout
+    w = bad.width
+    _, expected = first_mismatch_scan(bad, random_vectors(w, 64, seed=6))
+    assert expected is not None and expected.got_sum == expected.expected_sum
+    simulate._stream_columns.cache_clear()
+    assert verify_random(bad, count=64, seed=6) == expected  # cold cache
+    assert simulate._stream_columns.cache_info().currsize == 1
+    assert verify_random(bad, count=64, seed=6) == expected  # warm cache
+    if w <= 4:
+        mask = (1 << w) - 1
+        rows = [
+            InputVector(r & mask, (r >> w) & mask, r >> (2 * w)) for r in range(1 << (2 * w + 1))
+        ]
+        _, expected = first_mismatch_scan(bad, rows)
+        assert verify_exhaustive_netlist(bad) == expected
 
 
 def test_a_float_seed_is_rejected_on_a_cold_and_a_warm_cache():
@@ -478,8 +523,8 @@ def test_caller_vectors_encode_without_setting_off_a_garbage_collection():
     assert gc.get_stats()[0]["collections"] == before
 
 
-# rows spanning three ~64 KB packer blocks of stream rows at each width
-_THREE_BLOCKS = {1: 24581, 32: 12293, 64: 8197, 65: 8197, 1024: 749}
+# rows spanning three packer blocks of ~64 KB of input-bit bytes at each width
+_THREE_BLOCKS = {1: 131077, 32: 14565, 64: 8197, 65: 8197, 1024: 749}
 
 
 @pytest.mark.parametrize("width", sorted(_THREE_BLOCKS))
@@ -490,7 +535,7 @@ def test_pack_columns_hold_every_row_across_blocks(width, nrows):
     # width 1024 those are 257 bytes wide, the stream's 264)
     if nrows == "three-blocks":
         nrows = _THREE_BLOCKS[width]
-        assert nrows % 8 and nrows * 8 * -(-(2 * width + 1) // 64) > 3 * 2**16
+        assert nrows % 8 and nrows * -(-(2 * width + 1) // 8) > 2 * 2**16
     vecs = random_vectors(width, nrows, seed=5)
     # row r as 2w+1 digits, a and b MSB first, then cin: the stream's bit order
     digits = [f"{v.a:0{width}b}{v.b:0{width}b}{v.cin}" for v in reversed(vecs)]
@@ -500,6 +545,21 @@ def test_pack_columns_hold_every_row_across_blocks(width, nrows):
     expected.append(by_bit[2 * width])
     assert simulate._pack(width, simulate._stream_rows(width, 0, nrows, 5)) == expected
     assert simulate._pack(width, simulate._vector_rows(width, vecs)) == expected
+
+
+def _set_padding(width, rows):
+    """``rows`` with every bit after the leading 2*width+1 set to 1."""
+    pad = np.arange(8 * rows.shape[1]) >= 2 * width + 1
+    return rows | np.packbits(pad)
+
+
+@pytest.mark.parametrize("width", [1, 32, 63, 64, 65, 1024])
+def test_pack_ignores_the_padding_after_the_input_bits(width):
+    vecs = random_vectors(width, 21, seed=8)
+    for rows in (simulate._stream_rows(width, 0, 21, 8), simulate._vector_rows(width, vecs)):
+        padded = _set_padding(width, rows)
+        assert (padded != rows).any()
+        assert simulate._pack(width, padded) == simulate._pack(width, rows)
 
 
 def test_verify_exhaustive_covers_every_input():
