@@ -98,12 +98,26 @@ def _put(words: np.ndarray, off: int, length: int, values: list[int]) -> None:
         words[:, i + 1] |= top << np.uint64(64 - s)
 
 
+# the last stream of at most _BATCH vectors random_vectors decoded:
+# ((width, count, seed, type(seed)), its vectors)
+_decoded: tuple[tuple, tuple[InputVector, ...]] = ((0, 0, 0, int), ())
+
+
 def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
-    """The first ``count`` vectors of the documented stream for this width."""
+    """The first ``count`` vectors of the documented stream for this width.
+
+    The last stream of at most ``_BATCH`` vectors stays decoded, so designs
+    ranked on one stream share its vectors; each call returns a new list of
+    them, and ``_vector_batches`` knows that list by its objects.
+    """
+    global _decoded
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
     if count < 0:
         raise InsufficientVectors(f"vector count must be >= 0, got {count}")
+    key = (width, count, seed, type(seed))
+    if key == _decoded[0]:
+        return list(_decoded[1])
     rows = _stream_rows(width, 0, count, seed)
     if width <= 64:
         # each operand fits one uint64: slice all rows at once
@@ -124,7 +138,10 @@ def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
             [t & 1 for t in tops],
         ]
     # tuple.__new__ skips the generated Python __new__: one C call per vector
-    return list(map(tuple.__new__, repeat(InputVector, count), zip(*cols)))
+    vectors = list(map(tuple.__new__, repeat(InputVector, count), zip(*cols)))
+    if count <= _BATCH:
+        _decoded = key, tuple(vectors)
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +291,18 @@ _BATCH = 1 << 16
 
 
 def _vector_batches(nl: Netlist, vectors: list[InputVector]):
-    """Evaluate caller vectors ``_BATCH`` at a time; yields (rows, values per net)."""
+    """Evaluate caller vectors ``_BATCH`` at a time; yields (rows, values per net).
+
+    A list of exactly the objects ``random_vectors`` keeps decoded is that
+    stream, so it is evaluated on the stream's packed columns. Any other
+    list, even an equal one, goes through the encoder, which checks every
+    operand: ``1.0 == 1``, but a float operand must still raise.
+    """
     topo_order(nl)
+    (width, count, seed, _), stream = _decoded
+    if width == nl.width and 0 < len(vectors) == count and all(map(operator.is_, vectors, stream)):
+        yield count, _eval_packed(nl, _stream_columns(width, 0, count, seed)[0], count)
+        return
     for at in range(0, len(vectors), _BATCH):
         batch = vectors[at : at + _BATCH]
         cols = _pack(nl.width, _vector_rows(nl.width, batch))
@@ -436,23 +463,35 @@ def _pattern_column(bit: int, nrows: int) -> int:
     return col & ((1 << nrows) - 1)
 
 
+@functools.cache
+def _patterns(low: int) -> tuple[int, ...]:
+    """The columns of row bits 0 .. low-1 over 2**low rows, then a column of ones."""
+    nrows = 1 << low
+    return (*(_pattern_column(bit, nrows) for bit in range(low)), (1 << nrows) - 1)
+
+
 def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:
-    """Exhaustive oracle check of an already built netlist."""
+    """Exhaustive oracle check of an already built netlist.
+
+    Rows r = (cin, b, a) bits are visited in order, in aligned chunks of
+    2**low rows that pattern the low row bits and hold the high ones
+    constant: 2**10 rows first, then chunks that double up to ``_BATCH``
+    rows, so an early counterexample costs short columns only.
+    """
     w = nl.width
     if w > _EXHAUSTIVE_LIMIT:
         raise InvalidWidth(
             f"exhaustive verification is limited to {_EXHAUSTIVE_LIMIT} bits, got {w}"
         )
-    # row r = (cin, b, a) bits; within a chunk the high row bits are constant
-    low = min(nl.offset, _BATCH.bit_length() - 1)
-    nrows = 1 << low
-    pattern = [_pattern_column(bit, nrows) for bit in range(low)]
-    ones = (1 << nrows) - 1
+    top = _BATCH.bit_length() - 1
+    start, low = 0, min(nl.offset, 10, top)
     topo_order(nl)
-    for chunk in range(1 << (nl.offset - low)):
-        high = [ones if (chunk >> j) & 1 else 0 for j in range(nl.offset - low)]
-        cols = pattern + high
-        bad = _first_mismatch(nl, cols, nrows, _expected(w, cols))
+    while start < 1 << nl.offset:
+        *cols, ones = _patterns(low)
+        cols += [ones if (start >> j) & 1 else 0 for j in range(low, nl.offset)]
+        bad = _first_mismatch(nl, cols, 1 << low, _expected(w, cols))
         if bad is not None:
             return bad
+        start += 1 << low
+        low = min(start.bit_length() - 1, top)
     return None

@@ -107,6 +107,15 @@ def test_verify_width_cross_check(capsys):
     assert "InvalidWidth" in capsys.readouterr().err
 
 
+def test_a_missing_file_is_named_by_its_error_class(tmp_path, capsys):
+    missing = tmp_path / "missing.net"
+    assert main(["verify", "--from-file", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    assert str(missing) in captured.err
+
+
 def test_verify_catches_corrupted_file(tmp_path, capsys):
     nl = compose("rca:2,ccla:3")
     bad = flip_gate_kind(nl, flippable_gates(nl)[3])

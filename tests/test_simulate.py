@@ -3,6 +3,8 @@
 import functools
 import gc
 import io
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +17,18 @@ from adderlab import (
     InputVector,
     PRESETS,
     ToggleStats,
+    analyze_design,
     collect_toggles,
     compose,
+    default_library,
     dump_trace,
     evaluate,
+    from_text,
     NetlistBuilder,
     prng_word,
     random_vectors,
     run_vectors,
+    to_text,
     to_verilog,
     verify_exhaustive_netlist,
     verify_random,
@@ -331,6 +337,106 @@ def test_dump_trace_one_line_per_vector(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the decoded stream, known by its objects
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """Lengths of the vector lists that reach the encoder, in call order."""
+    calls = []
+    real = simulate._vector_rows
+    monkeypatch.setattr(simulate, "_vector_rows", lambda w, v: calls.append(len(v)) or real(w, v))
+    return calls
+
+
+def _results(nl, vectors):
+    """Trace text of ``vectors`` and, from 2 vectors on, their toggles."""
+    buf = io.StringIO()
+    dump_trace(nl, vectors, buf)
+    return buf.getvalue(), collect_toggles(nl, vectors) if len(vectors) > 1 else None
+
+
+def _naive_results(nl, vectors):
+    """``_results`` one ``evaluate`` call per vector."""
+    trace = "".join("".join(map(str, evaluate(nl, v)[2])) + "\n" for v in vectors)
+    toggles = ToggleStats(naive_toggles(nl, vectors), len(vectors), 5.0)
+    return trace, toggles if len(vectors) > 1 else None
+
+
+@pytest.mark.parametrize("spec", ["rca:3", "ccla:2,rca:2", PRESETS["design1"], "rca:65"])
+@pytest.mark.parametrize("count", [0, 1, 2, 40])
+def test_the_decoded_stream_evaluates_like_an_equal_copy(spec, count, encoded):
+    nl = compose(spec)
+    stream = random_vectors(nl.width, count, seed=9)
+    got = _results(nl, stream)
+    assert encoded == []  # the stream's own list is evaluated on its packed columns
+    copy = [InputVector(*v) for v in stream]
+    assert copy == stream and not any(map(operator.is_, copy, stream))
+    assert _results(nl, copy) == got
+    assert encoded or count == 0
+    assert got == _naive_results(nl, copy)
+
+
+def test_an_edited_stream_list_goes_through_the_encoder(encoded):
+    nl = compose(PRESETS["design1"])
+    stream = random_vectors(32, 40, seed=9)
+    original = [InputVector(*v) for v in stream]
+    replaced = random_vectors(32, 40, seed=9)
+    replaced[7] = InputVector(5, 6, 1)
+    appended = random_vectors(32, 40, seed=9)
+    appended.append(InputVector(1, 2, 0))
+    for vectors in (replaced, appended, stream[:-1], stream[::-1]):
+        before = len(encoded)
+        got = _results(nl, vectors)
+        assert len(encoded) > before
+        assert got == _naive_results(nl, vectors)
+    # the edits reached neither the kept stream nor its results
+    again = random_vectors(32, 40, seed=9)
+    assert again == original and all(map(operator.is_, again, stream))
+    assert _results(nl, again) == _naive_results(nl, original)
+
+
+def test_streams_longer_than_a_batch_are_not_kept(monkeypatch, encoded):
+    monkeypatch.setattr(simulate, "_BATCH", 8)
+    nl = compose("ccla:2,rca:2")
+    for count in (5, 8, 9, 30):
+        stream = random_vectors(nl.width, count, seed=2)
+        kept = random_vectors(nl.width, count, seed=2)[0] is stream[0]
+        assert kept == (count <= 8)
+        before = len(encoded)
+        got = _results(nl, stream)
+        assert (len(encoded) > before) == (count > 8)
+        assert got == _naive_results(nl, stream)
+
+
+def test_interleaved_streams_each_evaluate_as_themselves():
+    designs = {w: compose(f"rca:{w}") for w in (3, 5)}
+    calls = [(3, 1), (5, 1), (3, 2), (3, 1), (5, 1), (5, True)]
+    lists = [(designs[w], random_vectors(w, 12, seed)) for w, seed in calls]
+    for nl, vectors in lists + lists[::-1]:
+        assert _results(nl, vectors) == _naive_results(nl, vectors)
+    # a kept 3-bit stream applied to a 5-bit adder is encoded at width 5
+    narrow = random_vectors(3, 12, 1)
+    assert _results(designs[5], narrow) == _naive_results(designs[5], narrow)
+
+
+@pytest.mark.parametrize("make", [float, np.float64])
+def test_a_stream_copy_with_a_float_operand_still_raises(make):
+    nl = compose("rca:8")
+    stream = random_vectors(8, 20, seed=3)
+    for i, field in ((0, "a"), (7, "b"), (19, "cin")):
+        copy = list(stream)
+        copy[i] = stream[i]._replace(**{field: make(getattr(stream[i], field))})
+        assert copy == stream
+        with pytest.raises(TypeError):
+            collect_toggles(nl, copy)
+        with pytest.raises(TypeError):
+            dump_trace(nl, copy, io.StringIO())
+    with pytest.raises(TypeError):
+        random_vectors(8, 20, seed=make(3))  # not the kept stream of seed 3
+
+
+# ---------------------------------------------------------------------------
 # verification against the integer oracle
 
 
@@ -458,6 +564,26 @@ def test_a_repeated_stream_is_generated_and_packed_once(monkeypatch):
     assert oracle == [32] * 4
 
 
+def test_designs_ranked_on_one_stream_decode_and_pack_it_once(monkeypatch):
+    calls = []
+    for name in ("_stream_rows", "_pack", "_vector_rows"):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(
+            simulate, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    monkeypatch.setattr(simulate, "_decoded", ((0, 0, 0, int), ()))
+    simulate._stream_columns.cache_clear()
+    lib = default_library()
+    for name in ("design1", "design4", "design6", "rca32"):
+        analyze_design(name, PRESETS[name], lib, vectors=1024, seed=11)
+    # one generation to decode the vectors, one to pack their columns
+    assert calls == ["_stream_rows", "_stream_rows", "_pack"]
+    nl = compose(PRESETS["design2"])
+    dump_trace(nl, random_vectors(32, 1024, 11), io.StringIO())
+    assert verify_random(nl, count=1024, seed=11) is None
+    assert calls == ["_stream_rows", "_stream_rows", "_pack"]
+
+
 @pytest.mark.parametrize("width", [1, 2, 31, 32, 33, 63, 64, 65, 130])
 def test_expected_columns_hold_the_integer_sum_of_every_row(width):
     # decoded row by row against Python integers, not a second ripple
@@ -566,6 +692,41 @@ def test_verify_exhaustive_covers_every_input():
     assert verify_exhaustive_netlist(compose("rca:2,ccla:3")) is None
     bad = flip_gate_kind(compose("scbcla:4"), 0)
     assert verify_exhaustive_netlist(bad) is not None
+
+
+def _rows(width, start, stop):
+    """Exhaustive rows start .. stop-1: row r is a | b << width | cin << 2*width."""
+    mask = (1 << width) - 1
+    return [InputVector(r & mask, (r >> width) & mask, r >> (2 * width)) for r in range(start, stop)]
+
+
+@pytest.mark.parametrize(
+    "k, chunks", [(0, [1024]), (3, [1024]), (4, [1024, 1024]), (5, [1024, 1024, 2048])]
+)
+def test_exhaustive_counterexamples_past_a_chunk_seam(k, chunks, monkeypatch):
+    # OR2 in place of a[k] ^ b[k] first fails where a[k] = b[k] = 1: row 2**k + 2**(6+k)
+    bad = from_text(to_text(compose("rca:6")).replace(f" XOR2 a[{k}] b[{k}] ", f" OR2 a[{k}] b[{k}] "))
+    row = (1 << k) + (1 << (6 + k))
+    at, expected = first_mismatch_scan(bad, _rows(6, 0, row + 2))
+    assert at == row
+    evaluated = []
+    real = simulate._eval_packed
+    monkeypatch.setattr(
+        simulate, "_eval_packed", lambda nl, cols, n: evaluated.append(n) or real(nl, cols, n)
+    )
+    assert verify_exhaustive_netlist(bad) == expected
+    assert evaluated == chunks  # the chunks double from 1024 rows, in row order
+
+
+def test_exhaustive_counterexample_past_the_first_batch():
+    # OR2 in place of the XOR2 that reads cin agrees with it while cin = 0,
+    # on every row below 2**16, so the scan may start there
+    text = to_text(compose("rca:8"))
+    bad = from_text(re.sub(r" XOR2 (\S+) cin ", r" OR2 \1 cin ", text, count=1))
+    at, expected = first_mismatch_scan(bad, _rows(8, 1 << 16, (1 << 16) + 8))
+    assert at == 1 and simulate._BATCH == 1 << 16
+    assert verify_exhaustive_netlist(bad) == expected
+    assert expected.vector == InputVector(1, 0, 1)
 
 
 def test_verify_exhaustive_refuses_wide_netlists():
