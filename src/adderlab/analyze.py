@@ -81,15 +81,11 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
         pred.append(best_pred)
     end_t = -1.0
     end_gid = -1
-    for nid in nl.primary_outputs():
+    for nid in nl.primary_outputs():  # all gate-driven, as topo_order checks
         gid = nid - off
-        if gid < 0:
-            continue
         t = arrival[nid]
         if t > end_t or (t == end_t and gid < end_gid):
             end_t, end_gid = t, gid
-    if end_gid < 0:
-        return 0.0, ()
     path: list[int] = []
     gid = end_gid
     while gid >= 0:

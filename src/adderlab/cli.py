@@ -88,7 +88,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_gen(args) -> int:
     name, spec = _resolve_spec(args)
     nl = compose(spec)
-    module = args.module or re.sub(r"[^A-Za-z0-9_]", "_", name)
+    module = args.module if args.module is not None else re.sub(r"[^A-Za-z0-9_]", "_", name)
     verilog = to_verilog(nl, module) if args.verilog else None  # a bad name writes nothing
     _emit(to_text(nl), args.out)
     if verilog:
@@ -215,7 +215,7 @@ def cmd_compare(args) -> int:
 def cmd_export(args) -> int:
     nl = read_text(args.from_file)
     if args.verilog:
-        module = args.module or f"adder{nl.width}"
+        module = args.module if args.module is not None else f"adder{nl.width}"
         _emit(to_verilog(nl, module), args.out)
     else:
         _emit(to_text(nl), args.out)

@@ -25,10 +25,6 @@ class DanglingInput(AdderLabError):
     """A gate reads a net id outside the net table (negative or past its end)."""
 
 
-class GateOrder(AdderLabError):
-    """A gate reads its own net or a later gate's (as every cycle does)."""
-
-
 class InvalidNetlist(AdderLabError):
     """Finalize-time structural validation failed."""
 

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .errors import (
     ArityMismatch,
     DanglingInput,
-    GateOrder,
     InvalidNetlist,
     InvalidWidth,
 )
@@ -225,9 +224,7 @@ class NetlistBuilder:
             cout=cout,
             carries=tuple(nid for _, nid in carries),
         )
-        problems = validate(nl)
-        if problems:
-            raise InvalidNetlist(problems)
+        topo_order(nl)
         object.__setattr__(nl, "_checked", True)  # see topo_order
         return nl
 
@@ -240,23 +237,36 @@ class NetlistBuilder:
 def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
-    Checks: one net per primary input and gate, port ids inside the net
-    table (when either fails, only that is reported), arity, dangling
-    gate inputs, primary outputs driven by gates, no dangling gate
-    outputs, gate order (see :func:`topo_order`).
+    Checks: one net per primary input and gate (else only NetCount), port
+    ids inside the net table (else only a DanglingPort per bad port),
+    arity, dangling gate inputs, primary outputs driven by gates, no
+    dangling gate outputs, and last the gate order: the first read, in
+    list order, of a gate's own net or a later gate's (every cycle holds
+    such a read).
     """
-    out = _layout_violations(nl)
-    if out:
-        return out
     nnets, off = len(nl.nets), nl.offset
+    if nnets != off + len(nl.gates):
+        subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
+        return [Violation("NetCount", subject)]
+    bad = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums) if not 0 <= nid < nnets]
+    bad += [(f"carries[{i}]", nid) for i, nid in enumerate(nl.carries) if not 0 <= nid < nnets]
+    if not 0 <= nl.cout < nnets:
+        bad.append(("cout", nl.cout))
+    if bad:
+        return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
+    out, order = [], None
     read = bytearray(nnets)
     for k, g in enumerate(nl.gates):
-        ins = g.inputs
+        ins, own = g.inputs, off + k  # gate k drives net own
         if len(ins) != g.kind.arity:
             out.append(Violation("ArityMismatch", f"g{k} {g.kind.value}"))
         for nid in ins:
-            if 0 <= nid < nnets:
+            if 0 <= nid < own:
                 read[nid] = 1
+            elif own <= nid < nnets:
+                read[nid] = 1
+                if order is None:
+                    order = Violation("GateOrder", f"g{k} reads net {nid}")
             else:
                 out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
 
@@ -268,57 +278,23 @@ def validate(nl: Netlist) -> list[Violation]:
         out.extend(
             Violation("DanglingNet", nl.nets[nid]) for nid in range(off, nnets) if not read[nid]
         )
-
-    try:
-        topo_order(nl)
-    except GateOrder as exc:
-        out.append(Violation("GateOrder", str(exc)))
-    except DanglingInput:
-        pass  # the loop above reported every such read
+    if order:
+        out.append(order)
     return out
 
 
-def _layout_violations(nl: Netlist) -> list[Violation]:
-    """NetCount unless there is one net per primary input and gate; failing
-    that, one DanglingPort per primary-output id outside the net table."""
-    nnets = len(nl.nets)
-    if nnets != nl.offset + len(nl.gates):
-        subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
-        return [Violation("NetCount", subject)]
-    bad = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums) if not 0 <= nid < nnets]
-    bad += [(f"carries[{i}]", nid) for i, nid in enumerate(nl.carries) if not 0 <= nid < nnets]
-    if not 0 <= nl.cout < nnets:
-        bad.append(("cout", nl.cout))
-    return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
+def topo_order(nl: Netlist) -> None:
+    """Raise InvalidNetlist with every violation ``validate`` reports, if any.
 
-
-def topo_order(nl: Netlist) -> tuple[int, ...]:
-    """Gate ids in evaluation order, which is always 0..n-1.
-
-    A netlist lists its gates in dependency order: gate k reads only
-    primary inputs and the nets of gates below k. ``NetlistBuilder.finish``
-    and ``from_text`` check all of ``validate``, build only tuples and
-    mark what they return, which this then trusts; any other Netlist, a
-    ``dataclasses.replace`` copy too, is checked on every call. Raises
-    InvalidNetlist (NetCount or DanglingPort, as ``validate`` reports
-    them) when the net table or a port id does not fit the gates; then
-    GateOrder naming the first gate that reads its own net or a later
-    gate's (every cycle holds such a read); failing that, DanglingInput
-    naming the first read outside the net table, such as a negative id.
+    Every simulation and timing entry point calls this first, so none
+    evaluates a netlist that ``validate`` refuses. The gate list is the
+    evaluation order: gate k reads only primary inputs and the nets of
+    gates below k. ``NetlistBuilder.finish`` (through this) and
+    ``from_text`` check all of ``validate``, build only tuples and mark
+    what they return, which this then trusts; any other Netlist, a
+    ``dataclasses.replace`` copy too, is validated on every call.
     """
-    if getattr(nl, "_checked", False):
-        return tuple(range(len(nl.gates)))
-    bad = _layout_violations(nl)
-    if bad:
-        raise InvalidNetlist(bad)
-    off, nnets = nl.offset, len(nl.nets)
-    for out, g in enumerate(nl.gates, off):
-        for nid in g.inputs:
-            if not 0 <= nid < out:
-                reads = [(k, n) for k, h in enumerate(nl.gates) for n in h.inputs]
-                bad = next(((k, n) for k, n in reads if off + k <= n < nnets), None)
-                if bad:
-                    raise GateOrder("g%d reads net %d" % bad)
-                bad = next((k, n) for k, n in reads if not 0 <= n < nnets)
-                raise DanglingInput("g%d reads net %d" % bad)
-    return tuple(range(len(nl.gates)))
+    if not getattr(nl, "_checked", False):
+        problems = validate(nl)
+        if problems:
+            raise InvalidNetlist(problems)

@@ -36,6 +36,7 @@ from adderlab import (
     power_components,
     report_json,
     run_vectors,
+    validate,
 )
 from adderlab.analyze import Improvement
 from adderlab.errors import InvalidMetric, InvalidNetlist, NothingToCompare
@@ -97,9 +98,7 @@ def test_critical_path_single_gate_with_output_load():
     assert path == (0,)  # equal-delay endpoints resolve to the smaller gate id
 
 
-def test_critical_path_empty_netlist():
-    from adderlab import Netlist
-
+def test_critical_path_refuses_a_netlist_without_gates():
     nl = Netlist(
         width=1,
         nets=("a[0]", "b[0]", "cin"),
@@ -107,7 +106,9 @@ def test_critical_path_empty_netlist():
         sums=(0,),
         cout=1,
     )
-    assert critical_path(nl, LIB) == (0.0, ())
+    with pytest.raises(InvalidNetlist) as exc:
+        critical_path(nl, LIB)
+    assert list(map(str, exc.value.violations)) == ["UndrivenOutput(a[0])", "UndrivenOutput(b[0])"]
 
 
 def test_critical_path_checks_the_net_table_without_gates():
@@ -122,14 +123,20 @@ def _one_inverter(sum0, cout):
     return Netlist(width=1, nets=nets, gates=(Gate(CellKind.INV, (0,)),), sums=(sum0,), cout=cout)
 
 
-def test_critical_path_skips_outputs_on_primary_inputs():
-    assert critical_path(_one_inverter(0, 1), LIB) == (0.0, ())
+def test_critical_path_refuses_outputs_on_primary_inputs():
+    for nl in (_one_inverter(0, 1), _one_inverter(0, 3)):
+        with pytest.raises(InvalidNetlist) as exc:
+            critical_path(nl, LIB)
+        assert exc.value.violations == validate(nl) != []
+
+
+def test_critical_path_of_a_lone_inverter():
+    nl = _one_inverter(3, 3)  # sum[0] and cout both on the INV's net
     inv = LIB.cells[CellKind.INV]
-    delay, path = critical_path(_one_inverter(0, 3), LIB)
-    assert delay == inv.intrinsic_delay_ns + inv.load_delay_ns_per_ff * LIB.output_load_ff
+    delay, path = critical_path(nl, LIB)
+    assert delay == inv.intrinsic_delay_ns + inv.load_delay_ns_per_ff * 2 * LIB.output_load_ff
     assert path == (0,)
-    # with zero-delay cells the INV's arrival ties with a[0]'s; the gate is the endpoint
-    assert critical_path(_one_inverter(0, 3), _flat_library(0.0)) == (0.0, (0,))
+    assert critical_path(nl, _flat_library(0.0)) == (0.0, (0,))
 
 
 def test_preset_delays_frozen():

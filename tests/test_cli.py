@@ -51,7 +51,7 @@ def test_gen_rejects_bad_arch(capsys):
     assert "error: ParseError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["my adder;", "1st", "a-b", "module", "endmodule"])
+@pytest.mark.parametrize("module", ["my adder;", "1st", "a-b", "module", "endmodule", ""])
 def test_gen_and_export_reject_a_module_name_that_is_not_a_verilog_identifier(
     module, tmp_path, capsys
 ):
