@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .arch import ArchitectureSpec, coerce_arch
-from .cells import CellLibrary, default_library
+from .cells import CellLibrary, CellModel, default_library
 from .errors import InvalidMetric, NothingToCompare
 from .generate import compose
 from .netlist import Netlist, topo_order
@@ -42,18 +42,21 @@ def area(nl: Netlist, lib: CellLibrary) -> float:
 
 def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
     """Load on a net: sink pin caps, plus the output load if observable."""
-    return _net_caps(nl, lib)[nid]
+    return _loads(nl, lib)[1][nid]
 
 
-def _net_caps(nl: Netlist, lib: CellLibrary) -> list[float]:
+def _loads(nl: Netlist, lib: CellLibrary) -> tuple[list[CellModel], list[float]]:
+    """The cell model of every gate and the load on every net, from one walk
+    over the gates. Loads add pin by pin in gate order, then the output loads."""
+    cells = list(map(lib.cells.__getitem__, [g[0] for g in nl.gates]))
     caps = [0.0] * len(nl.nets)
-    for g in nl.gates:
-        per_pin = lib.cells[g.kind].input_cap_ff
-        for nid in g.inputs:
+    for cell, g in zip(cells, nl.gates):
+        per_pin = cell.input_cap_ff
+        for nid in g[1]:
             caps[nid] += per_pin
     for nid in nl.primary_outputs():
         caps[nid] += lib.output_load_ff
-    return caps
+    return cells, caps
 
 
 def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]]:
@@ -62,17 +65,22 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
     Arrival-time ties are broken toward the smaller driving gate id (a
     primary input beats any gate), so the reported path is deterministic.
     """
-    topo_order(nl)  # before _net_caps, which indexes every read
-    caps = _net_caps(nl, lib)
+    topo_order(nl)  # before _loads, which indexes every read
+    return _longest_path(nl, *_loads(nl, lib))
+
+
+def _longest_path(
+    nl: Netlist, cells: list[CellModel], caps: list[float]
+) -> tuple[float, tuple[int, ...]]:
+    """``critical_path`` of a checked netlist, given what ``_loads`` returns."""
     off = nl.offset
     arrival = [0.0] * len(nl.nets)
     pred: list[int] = []
-    for gid, g in enumerate(nl.gates):
-        cell = lib.cells[g.kind]
-        delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * caps[off + gid]
+    for gid, (cell, g, load) in enumerate(zip(cells, nl.gates, caps[off:])):
+        delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * load
         best_t = -1.0
         best_pred = -1
-        for nid in g.inputs:
+        for nid in g[1]:
             t = arrival[nid]
             p = nid - off  # negative for a primary input
             if t > best_t or (t == best_t and p < best_pred):
@@ -99,6 +107,12 @@ def power_components(
     nl: Netlist, lib: CellLibrary, stats: ToggleStats
 ) -> tuple[float, float]:
     """(switching, leakage) in microwatts."""
+    _check_stats(nl, stats)
+    cells, caps = _loads(nl, lib)
+    return _switching(caps, lib, stats), _leakage(cells)
+
+
+def _check_stats(nl: Netlist, stats: ToggleStats) -> None:
     if len(stats.per_net_toggles) != len(nl.nets):
         raise InvalidMetric(
             f"toggle stats cover {len(stats.per_net_toggles)} nets, netlist has {len(nl.nets)}"
@@ -106,15 +120,23 @@ def power_components(
     t_total = stats.total_time_ns
     if not 0 < t_total < math.inf:
         raise InvalidMetric(f"toggle stats must span a finite positive time, got {t_total} ns")
-    caps = _net_caps(nl, lib)
+
+
+def _switching(caps: list[float], lib: CellLibrary, stats: ToggleStats) -> float:
+    """Switching power in microwatts of nets with loads ``caps``, added net by net."""
+    t_total = stats.total_time_ns
     vdd_sq = lib.vdd_v * lib.vdd_v
     switching = 0.0
-    for nid, toggles in enumerate(stats.per_net_toggles):
+    for c, toggles in zip(caps, stats.per_net_toggles):
         if toggles:
             # fF * V^2 / ns comes out directly in microwatts
-            switching += 0.5 * caps[nid] * vdd_sq * toggles / t_total
-    leakage = sum(lib.cells[g.kind].leakage_nw for g in nl.gates) * 1e-3
-    return switching, leakage
+            switching += 0.5 * c * vdd_sq * toggles / t_total
+    return switching
+
+
+def _leakage(cells: list[CellModel]) -> float:
+    """Summed gate leakage in microwatts."""
+    return sum([cell.leakage_nw for cell in cells]) * 1e-3
 
 
 def power(nl: Netlist, lib: CellLibrary, stats: ToggleStats) -> float:
@@ -169,14 +191,31 @@ def analyze_design(
     interval_ns: float = 5.0,
 ) -> AnalysisReport:
     """Compose, simulate and measure one architecture."""
+    return _analyze(design, spec, lib, vectors, seed, interval_ns)[0]
+
+
+def _analyze(
+    design: str,
+    spec: ArchitectureSpec | str,
+    lib: CellLibrary | None,
+    vectors: int,
+    seed: int,
+    interval_ns: float,
+) -> tuple[AnalysisReport, Netlist]:
+    """``analyze_design``'s report and the netlist it measured. Power, delay
+    and area share one ``_loads`` walk; every number equals what ``power``,
+    ``critical_path`` and ``area`` give."""
     spec = coerce_arch(spec)
     lib = lib or default_library()
     nl = compose(spec)
     stats = run_vectors(nl, vectors, seed, interval_ns)
-    p = power(nl, lib, stats)
-    d, path = critical_path(nl, lib)
-    a = area(nl, lib)
-    return AnalysisReport(
+    _check_stats(nl, stats)
+    topo_order(nl)  # before _loads, which indexes every read
+    cells, caps = _loads(nl, lib)
+    p = _switching(caps, lib, stats) + _leakage(cells)
+    d, path = _longest_path(nl, cells, caps)
+    a = sum([cell.area_um2 for cell in cells])
+    report = AnalysisReport(
         design=design,
         arch=spec.to_string(),
         gates=len(nl.gates),
@@ -186,6 +225,7 @@ def analyze_design(
         fom_scaled=fom(p, d, a),
         critical_path=path,
     )
+    return report, nl
 
 
 def metrics_report(
@@ -228,10 +268,13 @@ def compare(reports: list[AnalysisReport]) -> Comparison:
         raise NothingToCompare(f"need at least 2 reports, got {len(reports)}")
     ranking = tuple(sorted(reports, key=lambda r: -r.fom_scaled))
     improvements = []
+    new = tuple.__new__  # skips Improvement's generated Python __new__: one C call each
     for i, upper in enumerate(ranking):
-        for lower in ranking[i + 1 :]:
-            pct = 100.0 * (upper.fom_scaled / lower.fom_scaled - 1.0)
-            improvements.append(Improvement(upper.design, lower.design, pct))
+        name, top = upper.design, upper.fom_scaled
+        improvements += [
+            new(Improvement, (name, lower.design, 100.0 * (top / lower.fom_scaled - 1.0)))
+            for lower in ranking[i + 1 :]
+        ]
     return Comparison(ranking=ranking, improvements=tuple(improvements))
 
 

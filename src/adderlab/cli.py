@@ -13,6 +13,7 @@ import re
 import sys
 
 from .analyze import (
+    _analyze,
     analyze_design,
     compare,
     comparison_csv,
@@ -125,12 +126,9 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     name, spec = _resolve_spec(args)
     lib = _resolve_lib(args)
-    report = analyze_design(
-        name, spec, lib, vectors=args.vectors, seed=args.seed, interval_ns=args.interval_ns
-    )
+    report, nl = _analyze(name, spec, lib, args.vectors, args.seed, args.interval_ns)
     _emit(report_json(report), args.out)
     if args.trace:
-        nl = compose(spec)
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             dump_trace(nl, random_vectors(nl.width, args.vectors, args.seed), fh)
     return EXIT_OK

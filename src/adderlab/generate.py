@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .arch import ArchitectureSpec, BlockKind, BlockSpec, coerce_arch
 from .errors import InvalidBlockWidth
-from .netlist import CellKind, Netlist, NetlistBuilder
+from .netlist import CellKind, Netlist, NetlistBuilder, flatten
 
 # ---------------------------------------------------------------------------
 # Small result records
@@ -269,8 +269,9 @@ _GENERATORS = {
 # ---------------------------------------------------------------------------
 
 
-# (kind, m) -> (gates, sums, cout, carries) of that generator on a width-m builder, in
-# local net ids. Filled on first use, not at import; two racing fills store equal tuples.
+# (kind, m) -> (spans, reads, sums, cout, carries) of that generator on a width-m builder:
+# its gates as ``flatten`` gives them, then its outputs, all in local net ids. Filled on
+# first use, not at import; two racing fills store equal tuples.
 _TEMPLATES: dict[tuple[BlockKind, int], tuple] = {}
 
 
@@ -294,13 +295,14 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
     carry, lo = b.cin, 0
     for blk in spec.blocks:
         copies, m = (blk.width, 1) if blk.kind is BlockKind.RCA else (1, blk.width)
-        if (blk.kind, m) not in _TEMPLATES:
+        template = _TEMPLATES.get((blk.kind, m))
+        if template is None:
             t = NetlistBuilder(m)
             r = _GENERATORS[blk.kind](t, t.a, t.b, t.cin)
-            _TEMPLATES[blk.kind, m] = (t.gates, r.sums, r.cout, r.carries)
-        gates, local_sums, cout, carries = _TEMPLATES[blk.kind, m]
+            template = _TEMPLATES[blk.kind, m] = (*flatten(t.gates), r.sums, r.cout, r.carries)
+        spans, reads, local_sums, cout, carries = template
         for _ in range(copies):
-            ids = b.place(gates, b.a[lo : lo + m] + b.b[lo : lo + m] + (carry,))
+            ids = b.place(spans, reads, b.a[lo : lo + m] + b.b[lo : lo + m] + (carry,))
             sums += [ids[nid] for nid in local_sums]
             exposed += [(lo + k, ids[nid]) for k, nid in carries if lo + k != width]
             carry = ids[cout]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -165,20 +165,29 @@ class NetlistBuilder:
 
     def add_gate(self, kind: CellKind, inputs: list[int] | tuple[int, ...]) -> int:
         """Append a gate reading ``inputs``, return its fresh output net id."""
-        if len(inputs) != kind.arity:
-            raise ArityMismatch(f"{kind.value} takes {kind.arity} inputs, got {len(inputs)}")
-        return self.place((Gate(kind, tuple(range(len(inputs)))),), inputs)[-1]
+        n = len(inputs)
+        if n != kind.arity:
+            raise ArityMismatch(f"{kind.value} takes {kind.arity} inputs, got {n}")
+        return self.place(((kind, 0, n),), range(n), inputs)[-1]
 
-    def place(self, gates: tuple[Gate, ...], inputs: list[int] | tuple[int, ...]) -> list[int]:
-        """Append ``gates`` written in local net ids (id i < len(inputs) is net ``inputs[i]``,
-        then gate j drives the next free net); return the global id of every local id."""
+    def place(
+        self,
+        spans: tuple[tuple[CellKind, int, int], ...],
+        reads: Sequence[int],
+        inputs: list[int] | tuple[int, ...],
+    ) -> list[int]:
+        """Append one gate per (kind, start, stop) span, reading local net ids
+        ``reads[start:stop]`` (id i < len(inputs) is net ``inputs[i]``, then
+        span j's gate drives the next free net); return the global id of every
+        local id. :func:`flatten` puts gates in this shape."""
         nnets = 2 * self.width + 1 + len(self._gates)
         if min(inputs) < 0 or max(inputs) >= nnets:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
             raise DanglingInput(f"no net with id {bad}")
-        ids = [*inputs, *range(nnets, nnets + len(gates))]
+        ids = [*inputs, *range(nnets, nnets + len(spans))]
+        flat = tuple([ids[i] for i in reads])
         # tuple.__new__ skips the generated Python __new__: one C call per gate
-        self._gates += [tuple.__new__(Gate, (g[0], tuple([ids[i] for i in g[1]]))) for g in gates]
+        self._gates += [tuple.__new__(Gate, (k, flat[at:stop])) for k, at, stop in spans]
         return ids
 
     def finish(
@@ -210,8 +219,6 @@ class NetlistBuilder:
         rename[cout] = "cout"
         for k, nid in carries:
             rename[nid] = f"c{k}"
-        if len(rename) != len(sums) + 1 + len(carries):
-            raise InvalidNetlist([Violation("DuplicateOutput", "output nets must be distinct")])
         nets = input_names(self.width) + [f"n{k}" for k in range(len(self._gates))]
         for nid, name in rename.items():
             if 0 <= nid < len(nets):
@@ -229,6 +236,18 @@ class NetlistBuilder:
         return nl
 
 
+def flatten(
+    gates: Sequence[Gate],
+) -> tuple[tuple[tuple[CellKind, int, int], ...], tuple[int, ...]]:
+    """Gates in the shape :meth:`NetlistBuilder.place` takes: one
+    (kind, start, stop) span per gate into one flat tuple of all their reads."""
+    spans, reads = [], []
+    for kind, ins in gates:
+        spans.append((kind, len(reads), len(reads) + len(ins)))
+        reads += ins
+    return tuple(spans), tuple(reads)
+
+
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------
@@ -239,10 +258,10 @@ def validate(nl: Netlist) -> list[Violation]:
 
     Checks: one net per primary input and gate (else only NetCount), port
     ids inside the net table (else only a DanglingPort per bad port),
-    arity, dangling gate inputs, primary outputs driven by gates, no
-    dangling gate outputs, and last the gate order: the first read, in
-    list order, of a gate's own net or a later gate's (every cycle holds
-    such a read).
+    arity, dangling gate inputs, primary outputs driven by gates and
+    distinct, no dangling gate outputs, and last the gate order: the
+    first read, in list order, of a gate's own net or a later gate's
+    (every cycle holds such a read).
     """
     nnets, off = len(nl.nets), nl.offset
     if nnets != off + len(nl.gates):
@@ -270,10 +289,13 @@ def validate(nl: Netlist) -> list[Violation]:
             else:
                 out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
 
-    for nid in nl.primary_outputs():
+    outs = nl.primary_outputs()
+    for nid in outs:
         if nid < off:
             out.append(Violation("UndrivenOutput", nl.nets[nid]))
         read[nid] = 1
+    if len(set(outs)) < len(outs):
+        out.append(Violation("DuplicateOutput", "output nets must be distinct"))
     if 0 in read[off:]:
         out.extend(
             Violation("DanglingNet", nl.nets[nid]) for nid in range(off, nnets) if not read[nid]

@@ -342,16 +342,17 @@ def collect_toggles(
     """Count settled-value transitions per net across the given stream."""
     if len(vectors) < 2:
         raise InsufficientVectors(f"need at least 2 vectors, got {len(vectors)}")
-    toggles = [0] * len(nl.nets)
-    prev_bits: list[int] | None = None
+    toggles: list[int] | None = None
     for n, values in _vector_batches(nl, vectors):
         inner = (1 << (n - 1)) - 1
-        for nid, col in enumerate(values):
-            t = ((col ^ (col >> 1)) & inner).bit_count()
-            if prev_bits is not None:
-                t += prev_bits[nid] ^ (col & 1)
-            toggles[nid] += t
-        prev_bits = [(col >> (n - 1)) & 1 for col in values]
+        if toggles is None:
+            toggles = [((col ^ (col >> 1)) & inner).bit_count() for col in values]
+        else:  # plus the step from the last row of the batch before
+            toggles = [
+                t + ((col ^ (col >> 1)) & inner).bit_count() + (((last >> top) ^ col) & 1)
+                for t, col, last in zip(toggles, values, prev)
+            ]
+        prev, top = values, n - 1
     return ToggleStats(
         per_net_toggles=tuple(toggles),
         vectors_applied=len(vectors),

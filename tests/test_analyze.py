@@ -11,8 +11,9 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import adderlab.analyze as analyze_module
 from adderlab import (
     AnalysisReport,
     CellKind,
@@ -41,7 +42,7 @@ from adderlab import (
 from adderlab.analyze import Improvement
 from adderlab.errors import InvalidMetric, InvalidNetlist, NothingToCompare
 
-from conftest import TABLE1_ROWS
+from conftest import TABLE1_ROWS, random_arch_string
 
 LIB = default_library()
 
@@ -131,10 +132,14 @@ def test_critical_path_refuses_outputs_on_primary_inputs():
 
 
 def test_critical_path_of_a_lone_inverter():
-    nl = _one_inverter(3, 3)  # sum[0] and cout both on the INV's net
+    # output nets are distinct, so cout gets an inverter of its own: sum[0] is
+    # the INV of a[0] on net 3, cout the INV of b[0] on net 4; the tie goes to g0
+    nets = ("a[0]", "b[0]", "cin", "n3", "n4")
+    gates = (Gate(CellKind.INV, (0,)), Gate(CellKind.INV, (1,)))
+    nl = Netlist(width=1, nets=nets, gates=gates, sums=(3,), cout=4)
     inv = LIB.cells[CellKind.INV]
     delay, path = critical_path(nl, LIB)
-    assert delay == inv.intrinsic_delay_ns + inv.load_delay_ns_per_ff * 2 * LIB.output_load_ff
+    assert delay == inv.intrinsic_delay_ns + inv.load_delay_ns_per_ff * LIB.output_load_ff
     assert path == (0,)
     assert critical_path(nl, _flat_library(0.0)) == (0.0, (0,))
 
@@ -352,6 +357,38 @@ def test_analyze_design_consistency():
         fom(report.power_uw, report.delay_ns, report.area_um2)
     )
     assert report.critical_path == critical_path(nl, LIB)[1]
+
+
+def _assert_report_is_exact(spec, vectors, seed):
+    report = analyze_design("d", spec, LIB, vectors=vectors, seed=seed)
+    nl = compose(spec)
+    assert report.power_uw == power(nl, LIB, run_vectors(nl, vectors, seed)), spec
+    assert (report.delay_ns, report.critical_path) == critical_path(nl, LIB), spec
+    assert report.area_um2 == area(nl, LIB), spec
+
+
+def test_analyze_design_equals_the_public_metrics_on_every_preset():
+    for spec in PRESETS.values():
+        _assert_report_is_exact(spec, 256, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 300), st.integers(0, 2**64 - 1))
+def test_analyze_design_equals_the_public_metrics_on_random_architectures(rng, vectors, seed):
+    _assert_report_is_exact(random_arch_string(rng, 1, 40), vectors, seed)
+
+
+def test_analyze_design_walks_the_net_loads_once(monkeypatch):
+    calls = []
+
+    def counted(nl, lib):
+        calls.append(nl)
+        return loads(nl, lib)
+
+    loads = analyze_module._loads
+    monkeypatch.setattr(analyze_module, "_loads", counted)
+    analyze_design("d", "rca:2,ccla:3", vectors=16)
+    assert len(calls) == 1
 
 
 def test_report_json_schema():

@@ -1,11 +1,22 @@
 """Command line behaviour: exit codes, file outputs, stdout formats."""
 
+import io
 import json
 import random
 
 import pytest
 
-from adderlab import compose, from_text, to_text, serialize_library, default_library
+import adderlab.analyze
+import adderlab.cli
+from adderlab import (
+    compose,
+    default_library,
+    dump_trace,
+    from_text,
+    random_vectors,
+    serialize_library,
+    to_text,
+)
 from adderlab.cli import main
 
 from conftest import TABLE1_CSV, flip_gate_kind, flippable_gates
@@ -170,6 +181,25 @@ def test_analyze_with_custom_library_and_trace(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["gates"] == 15
     assert len(trace.read_text().splitlines()) == 16
+
+
+def test_analyze_trace_comes_from_the_analysed_netlist(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return compose(spec)
+
+    for module in (adderlab.analyze, adderlab.cli):
+        monkeypatch.setattr(module, "compose", counted)
+    trace = tmp_path / "trace.txt"
+    args = ["analyze", "--arch", "rca:2,scbcla:4x3", "--vectors", "16", "--seed", "3"]
+    assert main(args + ["--trace", str(trace)]) == 0
+    assert len(calls) == 1
+    buf = io.StringIO()
+    nl = compose("rca:2,scbcla:4x3")
+    dump_trace(nl, random_vectors(nl.width, 16, 3), buf)
+    assert trace.read_text() == buf.getvalue()
 
 
 def test_analyze_rejects_broken_library(tmp_path, capsys):

@@ -33,7 +33,7 @@ from adderlab.errors import (
     InvalidNetlist,
     InvalidWidth,
 )
-from adderlab.netlist import Violation
+from adderlab.netlist import Violation, flatten
 
 
 def test_builder_preallocates_primary_inputs():
@@ -87,17 +87,22 @@ def _full_adder_by_hand():
 
 def test_place_maps_local_ids_and_finish_refuses_a_forward_read():
     # a full adder in local ids: a=0, b=1, cin=2, gate j drives 3+j
-    fa, s, c = _full_adder_by_hand()[0].gates, 4, 7
+    fa, s, c = flatten(_full_adder_by_hand()[0].gates), 4, 7
+    X, A, O = CellKind.XOR2, CellKind.AND2, CellKind.OR2
+    assert fa == (
+        ((X, 0, 2), (X, 2, 4), (A, 4, 6), (A, 6, 8), (O, 8, 10)),
+        (0, 1, 3, 2, 0, 1, 3, 2, 5, 6),
+    )
     b = NetlistBuilder(2)
-    low = b.place(fa, [b.a[0], b.b[0], b.cin])
+    low = b.place(*fa, [b.a[0], b.b[0], b.cin])
     assert low == [0, 2, 4, 5, 6, 7, 8, 9]
-    high = b.place(fa, [b.a[1], b.b[1], low[c]])
+    high = b.place(*fa, [b.a[1], b.b[1], low[c]])
     assert high == [1, 3, 9, 10, 11, 12, 13, 14]
     assert b.finish([low[s], high[s]], high[c]) == compose("rca:2")
     with pytest.raises(DanglingInput, match="^no net with id 15$"):
-        b.place(fa, [b.a[0], b.b[0], 15])
+        b.place(*fa, [b.a[0], b.b[0], 15])
     bad = NetlistBuilder(1)
-    ids = bad.place((Gate(CellKind.XOR2, (0, 4)), Gate(CellKind.AND2, (1, 2))), [0, 1, 2])
+    ids = bad.place(((X, 0, 2), (A, 2, 4)), (0, 4, 1, 2), [0, 1, 2])
     with pytest.raises(InvalidNetlist, match="GateOrder"):
         bad.finish([ids[3]], ids[4])
 
@@ -123,8 +128,12 @@ def test_finish_rejects_wrong_sum_count():
 
 def test_finish_rejects_duplicate_output_nets():
     b, s, _ = _full_adder_by_hand()
-    with pytest.raises(InvalidNetlist):
+    with pytest.raises(InvalidNetlist) as exc:
         b.finish([s], s)
+    assert exc.value.violations == [
+        Violation("DuplicateOutput", "output nets must be distinct"),
+        Violation("DanglingNet", "n4"),
+    ]
 
 
 def test_finish_rejects_output_with_no_driver():
@@ -195,6 +204,13 @@ def _refused(entry, nl):
 def _raw_width1(gates, nets_extra, sums, cout):
     nets = ("a[0]", "b[0]", "cin") + tuple(nets_extra)
     return Netlist(width=1, nets=nets, gates=tuple(gates), sums=sums, cout=cout)
+
+
+def test_validate_reports_repeated_output_nets():
+    # sum[0] and cout on one net, which to_text would write as "outputs n3 n3"
+    nl = _raw_width1([Gate(CellKind.INV, (0,))], ["n3"], sums=(3,), cout=3)
+    assert validate(nl) == [Violation("DuplicateOutput", "output nets must be distinct")]
+    assert _refused(topo_order, nl) == validate(nl)
 
 
 def test_validate_reports_dangling_net():
@@ -485,6 +501,8 @@ def validate_reference(nl):
     for nid in nl.primary_outputs():
         if nid not in drivers:
             out.append(Violation("UndrivenOutput", nl.nets[nid]))
+    if len(set(nl.primary_outputs())) != len(nl.primary_outputs()):
+        out.append(Violation("DuplicateOutput", "output nets must be distinct"))
 
     readers = {nid: [] for nid in range(nnets)}
     for k, g in enumerate(nl.gates):
@@ -504,7 +522,15 @@ def validate_reference(nl):
     return out
 
 
-_MUTATIONS = ("swap", "undriven_output", "arity", "out_of_range", "drop_reader", "forward_read")
+_MUTATIONS = (
+    "swap",
+    "undriven_output",
+    "duplicate_output",
+    "arity",
+    "out_of_range",
+    "drop_reader",
+    "forward_read",
+)
 
 
 @st.composite
@@ -524,6 +550,8 @@ def mutilated_netlists(draw):
         pin = draw(st.integers(0, len(ins) - 1)) if ins else None
         if what == "undriven_output":
             sums[draw(st.integers(0, len(sums) - 1))] = draw(st.sampled_from(pis))
+        elif what == "duplicate_output":
+            sums[draw(st.integers(0, len(sums) - 1))] = draw(st.sampled_from(nl.primary_outputs()))
         elif what == "arity":  # drop the last input or add one
             grown = ins + [draw(st.integers(0, nnets - 1))]
             g = g._replace(inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
