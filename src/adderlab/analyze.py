@@ -48,6 +48,7 @@ def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
 def _loads(nl: Netlist, lib: CellLibrary) -> tuple[list[CellModel], list[float]]:
     """The cell model of every gate and the load on every net, from one walk
     over the gates. Loads add pin by pin in gate order, then the output loads."""
+    topo_order(nl)  # before the first read is indexed
     cells = list(map(lib.cells.__getitem__, [g[0] for g in nl.gates]))
     caps = [0.0] * len(nl.nets)
     for cell, g in zip(cells, nl.gates):
@@ -65,7 +66,6 @@ def critical_path(nl: Netlist, lib: CellLibrary) -> tuple[float, tuple[int, ...]
     Arrival-time ties are broken toward the smaller driving gate id (a
     primary input beats any gate), so the reported path is deterministic.
     """
-    topo_order(nl)  # before _loads, which indexes every read
     return _longest_path(nl, *_loads(nl, lib))
 
 
@@ -107,24 +107,20 @@ def power_components(
     nl: Netlist, lib: CellLibrary, stats: ToggleStats
 ) -> tuple[float, float]:
     """(switching, leakage) in microwatts."""
-    _check_stats(nl, stats)
     cells, caps = _loads(nl, lib)
     return _switching(caps, lib, stats), _leakage(cells)
 
 
-def _check_stats(nl: Netlist, stats: ToggleStats) -> None:
-    if len(stats.per_net_toggles) != len(nl.nets):
+def _switching(caps: list[float], lib: CellLibrary, stats: ToggleStats) -> float:
+    """Switching power in microwatts of nets with loads ``caps``, added net by net;
+    InvalidMetric unless ``stats`` covers those nets over a finite positive time."""
+    if len(stats.per_net_toggles) != len(caps):
         raise InvalidMetric(
-            f"toggle stats cover {len(stats.per_net_toggles)} nets, netlist has {len(nl.nets)}"
+            f"toggle stats cover {len(stats.per_net_toggles)} nets, netlist has {len(caps)}"
         )
     t_total = stats.total_time_ns
     if not 0 < t_total < math.inf:
         raise InvalidMetric(f"toggle stats must span a finite positive time, got {t_total} ns")
-
-
-def _switching(caps: list[float], lib: CellLibrary, stats: ToggleStats) -> float:
-    """Switching power in microwatts of nets with loads ``caps``, added net by net."""
-    t_total = stats.total_time_ns
     vdd_sq = lib.vdd_v * lib.vdd_v
     switching = 0.0
     for c, toggles in zip(caps, stats.per_net_toggles):
@@ -209,8 +205,6 @@ def _analyze(
     lib = lib or default_library()
     nl = compose(spec)
     stats = run_vectors(nl, vectors, seed, interval_ns)
-    _check_stats(nl, stats)
-    topo_order(nl)  # before _loads, which indexes every read
     cells, caps = _loads(nl, lib)
     p = _switching(caps, lib, stats) + _leakage(cells)
     d, path = _longest_path(nl, cells, caps)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .netlist import CellKind, Gate, Netlist, Violation, input_names
+from .netlist import CellKind, Gate, Netlist, Violation, input_names, topo_order
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -27,6 +27,7 @@ from .netlist import CellKind, Gate, Netlist, Violation, input_names
 
 
 def to_text(nl: Netlist) -> str:
+    topo_order(nl)
     names = nl.nets
     lines = [f"width {nl.width}"]
     for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):
@@ -184,6 +185,7 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     name is not a simple identifier, is reserved, or names a port or gate.
     """
     _check_name(module_name, "module name")
+    topo_order(nl)
     w = nl.width
     names = nl.nets
     scalar_outs = ["cout"] + [names[nid] for nid in nl.carries]

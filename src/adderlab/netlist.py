@@ -202,8 +202,6 @@ class NetlistBuilder:
         the carry-out net, and ``carries`` pairs of (global carry index,
         net id) for lookahead carries to expose as c<k> outputs.
         """
-        if len(sums) != self.width:
-            raise InvalidNetlist([Violation("SumCount", f"{len(sums)} of {self.width}")])
         carries = tuple(sorted(carries))
         bad = []
         for i, (k, _) in enumerate(carries):
@@ -257,10 +255,10 @@ def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
     Checks: one net per primary input and gate (else only NetCount), port
-    ids inside the net table (else only a DanglingPort per bad port),
-    arity, dangling gate inputs, primary outputs driven by gates and
-    distinct, no dangling gate outputs, and last the gate order: the
-    first read, in list order, of a gate's own net or a later gate's
+    ids inside the net table (else only a DanglingPort per bad port), one
+    sum per bit, arity, dangling gate inputs, primary outputs driven by
+    gates and distinct, no dangling gate outputs, and last the gate order:
+    the first read, in list order, of a gate's own net or a later gate's
     (every cycle holds such a read).
     """
     nnets, off = len(nl.nets), nl.offset
@@ -274,6 +272,8 @@ def validate(nl: Netlist) -> list[Violation]:
     if bad:
         return [Violation("DanglingPort", f"{port} is net {nid}") for port, nid in bad]
     out, order = [], None
+    if len(nl.sums) != nl.width:
+        out.append(Violation("SumCount", f"{len(nl.sums)} of {nl.width}"))
     read = bytearray(nnets)
     for k, g in enumerate(nl.gates):
         ins, own = g.inputs, off + k  # gate k drives net own
@@ -308,8 +308,8 @@ def validate(nl: Netlist) -> list[Violation]:
 def topo_order(nl: Netlist) -> None:
     """Raise InvalidNetlist with every violation ``validate`` reports, if any.
 
-    Every simulation and timing entry point calls this first, so none
-    evaluates a netlist that ``validate`` refuses. The gate list is the
+    Every entry point that reads nets by id calls this first, so none
+    reads a netlist that ``validate`` refuses. The gate list is the
     evaluation order: gate k reads only primary inputs and the nets of
     gates below k. ``NetlistBuilder.finish`` (through this) and
     ``from_text`` check all of ``validate``, build only tuples and mark

@@ -154,22 +154,24 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
 
     Each operand is taken through ``operator.index``, so integer types such
     as numpy's encode like ``int`` and a non-integer raises ``TypeError``
-    rather than being cast. The batch is then range-checked as a whole;
-    only when that fails is each vector checked, so the error names the
-    first bad one.
+    rather than being cast. The batch is then shape- and range-checked as
+    a whole; only when that fails is each vector checked, so the error
+    names the first bad one.
     """
     # not zip(*vectors): one live iterator per vector trips a GC pass on a large batch
     flat = list(map(operator.index, chain.from_iterable(vectors)))
     a, b, cin = flat[0::3], flat[1::3], flat[2::3]
     top = (1 << width) - 1
     if not (
-        vectors
+        set(map(len, vectors)) == {3}  # each vector is (a, b, cin), and there is one
         and 0 <= min(a) and max(a) <= top
         and 0 <= min(b) and max(b) <= top
         and set(cin) <= {0, 1}
     ):
-        for v, x, y, c in zip(vectors, a, b, cin):
-            if not (0 <= x <= top and 0 <= y <= top and c in (0, 1)):
+        for v in vectors:
+            if len(v) != 3:
+                raise InvalidWidth(f"vector {v} is not (a, b, cin)")
+            if not (0 <= v[0] <= top and 0 <= v[1] <= top and v[2] in (0, 1)):
                 raise InvalidWidth(f"vector {v} does not fit width {width}")
     nbits = 2 * width + 1
     if width <= 64:

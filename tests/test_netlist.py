@@ -20,8 +20,13 @@ from adderlab import (
     evaluate,
     from_text,
     NetlistBuilder,
+    ToggleStats,
+    net_capacitance,
+    power,
+    power_components,
     run_vectors,
     to_text,
+    to_verilog,
     topo_order,
     validate,
     verify_exhaustive_netlist,
@@ -122,8 +127,12 @@ def test_finish_names_outputs_and_freezes():
 
 def test_finish_rejects_wrong_sum_count():
     b, s, c = _full_adder_by_hand()
-    with pytest.raises(InvalidNetlist):
+    with pytest.raises(InvalidNetlist) as exc:
         b.finish([s, s], c)
+    assert exc.value.violations == [
+        Violation("SumCount", "2 of 1"),
+        Violation("DuplicateOutput", "output nets must be distinct"),
+    ]
 
 
 def test_finish_rejects_duplicate_output_nets():
@@ -395,7 +404,20 @@ def test_validate_reports_a_gate_list_out_of_dependency_order():
     assert validate(_full_adder_out_of_order()) == [Violation("GateOrder", "g0 reads net 4")]
 
 
-_GUARDED = {**_ENTRY_POINTS, "run_vectors": run_vectors}
+def _stats(nl):
+    """Toggle stats that fit ``nl``, so only the netlist can be refused."""
+    return ToggleStats((1,) * len(nl.nets), 2, 5.0)
+
+
+_GUARDED = {
+    **_ENTRY_POINTS,
+    "run_vectors": run_vectors,
+    "power": lambda nl: power(nl, default_library(), _stats(nl)),
+    "power_components": lambda nl: power_components(nl, default_library(), _stats(nl)),
+    "net_capacitance": lambda nl: net_capacitance(nl, default_library(), nl.cout),
+    "to_text": to_text,
+    "to_verilog": to_verilog,
+}
 
 
 @pytest.mark.parametrize("entry", _GUARDED.values(), ids=_GUARDED.keys())
@@ -408,9 +430,27 @@ def test_every_entry_point_rejects_a_read_outside_the_net_table(entry):
         assert _refused(entry, bad) == [Violation("DanglingInput", f"g0 reads net {nid}")]
 
 
+def _extra_sum(spec):
+    """``compose(spec)`` with its carry-out listed as one more sum and an AND2
+    over the carry-out gate's inputs as the new cout: every gate net is read
+    or an output, so only the sum count is wrong (at width 2, 3 + 1 gives
+    cout 0)."""
+    nl = compose(spec)
+    top = nl.gates[nl.cout - nl.offset]
+    nets = list(nl.nets) + ["cout"]
+    nets[nl.cout] = f"sum[{nl.width}]"
+    return dataclasses.replace(
+        nl,
+        nets=tuple(nets),
+        gates=nl.gates + (Gate(CellKind.AND2, top.inputs),),
+        sums=nl.sums + (nl.cout,),
+        cout=len(nl.nets),
+    )
+
+
 def _unsound_netlists():
     """rca:1 (gates XOR2 p, XOR2 sum[0], AND2, AND2, OR2 cout) broken one way
-    each, with what ``validate`` reports."""
+    each, and rca:2 with an extra sum, with what ``validate`` reports."""
     nl = compose("rca:1")
 
     def gate0(*inputs):
@@ -423,6 +463,9 @@ def _unsound_netlists():
         ),
         "cout-out-of-range": (dataclasses.replace(nl, cout=99), ["DanglingPort(cout is net 99)"]),
         "negative-sum": (dataclasses.replace(nl, sums=(-1,)), ["DanglingPort(sum[0] is net -1)"]),
+        "extra-sum": (_extra_sum("rca:1"), ["SumCount(2 of 1)"]),
+        "extra-sum-width-2": (_extra_sum("rca:2"), ["SumCount(3 of 2)"]),
+        "no-sum": (dataclasses.replace(nl, sums=()), ["SumCount(0 of 1)", "DanglingNet(sum[0])"]),
         "xor-one-input": (gate0(0), ["ArityMismatch(g0 XOR2)"]),
         "xor-three-inputs": (gate0(0, 1, 2), ["ArityMismatch(g0 XOR2)"]),
         "sum-on-input": (
@@ -485,6 +528,8 @@ def validate_reference(nl):
     it read inlined, the drivers taken from gate positions and the gate
     order checked by ``forward_read_reference``."""
     out = []
+    if len(nl.sums) != nl.width:
+        out.append(Violation("SumCount", f"{len(nl.sums)} of {nl.width}"))
     nnets = len(nl.nets)
     first = 2 * nl.width + 1  # gate k drives net first + k
 
@@ -530,13 +575,14 @@ _MUTATIONS = (
     "out_of_range",
     "drop_reader",
     "forward_read",
+    "sum_count",
 )
 
 
 @st.composite
 def mutilated_netlists(draw):
     """A small built netlist with 1-4 structural faults that keep the net
-    table and the port ids as they were."""
+    table as it was and every port id inside it."""
     nl = compose(draw(st.sampled_from(["rca:1", "rca:2", "ccla:2", "scbcla:3", "rca:1,ccla:2"])))
     gates, sums = list(nl.gates), list(nl.sums)
     nnets, ngates = len(nl.nets), len(gates)
@@ -552,6 +598,9 @@ def mutilated_netlists(draw):
             sums[draw(st.integers(0, len(sums) - 1))] = draw(st.sampled_from(pis))
         elif what == "duplicate_output":
             sums[draw(st.integers(0, len(sums) - 1))] = draw(st.sampled_from(nl.primary_outputs()))
+        elif what == "sum_count":  # one sum more, on any net, or one fewer but never none
+            grown = sums + [draw(st.integers(0, nnets - 1))]
+            sums = draw(st.sampled_from([grown, sums[:-1]] if len(sums) > 1 else [grown]))
         elif what == "arity":  # drop the last input or add one
             grown = ins + [draw(st.integers(0, nnets - 1))]
             g = g._replace(inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))

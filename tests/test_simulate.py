@@ -175,6 +175,37 @@ def test_evaluate_rejects_out_of_range_operands():
         InputVector(4, 0, 0).a = 1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda nl: evaluate(nl, (1, 2)), "vector (1, 2) is not (a, b, cin)"),
+        (lambda nl: evaluate(nl, ()), "vector () is not (a, b, cin)"),
+        (
+            lambda nl: collect_toggles(nl, [(1, 2, 0), (1, 2, 0), (3,)]),
+            "vector (3,) is not (a, b, cin)",
+        ),
+        (
+            lambda nl: collect_toggles(nl, [(1, 2, 0, 1)] * 3),
+            "vector (1, 2, 0, 1) is not (a, b, cin)",
+        ),
+        # six values in all, which a split in threes would read as (1, 2, 0), (1, 0, 1)
+        (
+            lambda nl: collect_toggles(nl, [(1, 2, 0, 1), (0, 1)]),
+            "vector (1, 2, 0, 1) is not (a, b, cin)",
+        ),
+        (
+            lambda nl: dump_trace(nl, [(1, 2, 0), (9, 0, 0), (1,)], io.StringIO()),
+            "vector (9, 0, 0) does not fit width 2",
+        ),
+    ],
+    ids=["pair", "empty", "short-last", "quads", "quad-then-pair", "range-before-shape"],
+)
+def test_a_vector_that_is_not_a_b_cin_is_named(call, message):
+    with pytest.raises(InvalidWidth, match=f"^{re.escape(message)}$"):
+        call(compose("rca:2"))
+    assert evaluate(compose("rca:2"), [1, 2, 0])[:2] == (3, 0)
+
+
 # ---------------------------------------------------------------------------
 # toggle counting
 
