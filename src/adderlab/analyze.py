@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .arch import ArchitectureSpec, coerce_arch
 from .cells import CellLibrary, CellModel, default_library
-from .errors import InvalidMetric, NothingToCompare
+from .errors import DanglingInput, InvalidMetric, NothingToCompare
 from .generate import compose
 from .netlist import Netlist, topo_order
 from .simulate import ToggleStats, run_vectors
@@ -42,7 +42,10 @@ def area(nl: Netlist, lib: CellLibrary) -> float:
 
 def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
     """Load on a net: sink pin caps, plus the output load if observable."""
-    return _loads(nl, lib)[1][nid]
+    caps = _loads(nl, lib)[1]
+    if not 0 <= nid < len(caps):
+        raise DanglingInput(f"no net with id {nid}")
+    return caps[nid]
 
 
 def _loads(nl: Netlist, lib: CellLibrary) -> tuple[list[CellModel], list[float]]:

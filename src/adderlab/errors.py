@@ -22,7 +22,8 @@ class ArityMismatch(AdderLabError):
 
 
 class DanglingInput(AdderLabError):
-    """A gate reads a net id outside the net table (negative or past its end)."""
+    """A net id outside the net table (negative or past its end): read by a
+    gate, placed as an input, or asked for by a caller."""
 
 
 class InvalidNetlist(AdderLabError):

@@ -17,6 +17,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -257,7 +258,8 @@ def validate(nl: Netlist) -> list[Violation]:
     Checks: one net per primary input and gate (else only NetCount), port
     ids inside the net table (else only a DanglingPort per bad port), one
     sum per bit, arity, dangling gate inputs, primary outputs driven by
-    gates and distinct, no dangling gate outputs, and last the gate order:
+    gates, distinct and named as ``from_text`` reads them (OutputName), no
+    dangling gate outputs, and last the gate order:
     the first read, in list order, of a gate's own net or a later gate's
     (every cycle holds such a read).
     """
@@ -296,6 +298,7 @@ def validate(nl: Netlist) -> list[Violation]:
         read[nid] = 1
     if len(set(outs)) < len(outs):
         out.append(Violation("DuplicateOutput", "output nets must be distinct"))
+    out += _misnamed(nl)
     if 0 in read[off:]:
         out.extend(
             Violation("DanglingNet", nl.nets[nid]) for nid in range(off, nnets) if not read[nid]
@@ -303,6 +306,31 @@ def validate(nl: Netlist) -> list[Violation]:
     if order:
         out.append(order)
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _output_names(nsums: int, width: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The output names ``from_text`` reads: sum[0..nsums) and cout, and
+    each carry name c<k> (0 < k < width, ASCII decimal) with its k."""
+    sums = tuple([f"sum[{i}]" for i in range(nsums)]) + ("cout",)
+    return sums, {f"c{k}": k for k in range(1, width)}
+
+
+def _misnamed(nl: Netlist) -> list[Violation]:
+    """An OutputName for each output whose net is not named as ``from_text``
+    reads it; carries must also come in ascending k."""
+    nets = nl.nets
+    names, carry_index = _output_names(len(nl.sums), nl.width)
+    ports = (*nl.sums, nl.cout)
+    bad = [(want, nid) for want, nid in zip(names, ports) if nets[nid] != want]
+    last = 0
+    for i, nid in enumerate(nl.carries):
+        k = carry_index.get(nets[nid], 0)
+        if k > last:
+            last = k
+        else:
+            bad.append((f"carries[{i}]", nid))
+    return [Violation("OutputName", f"{port} is {nets[nid]}") for port, nid in bad]
 
 
 def topo_order(nl: Netlist) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,25 +79,6 @@ def _stream_rows(width: int, start: int, count: int, seed: int) -> np.ndarray:
     return z.astype(">u8").view(np.uint8).reshape(count, 8 * nwords)
 
 
-def _field(words: np.ndarray, off: int, length: int) -> np.ndarray:
-    """Bits off .. off+length-1 (counted from the MSB of word 0) of each row
-    of uint64 words, as one uint64 per row; length is at most 64."""
-    i, s = divmod(off, 64)
-    top = words[:, i] << np.uint64(s)
-    if s + length > 64:
-        top |= words[:, i + 1] >> np.uint64(64 - s)
-    return top >> np.uint64(64 - length)
-
-
-def _put(words: np.ndarray, off: int, length: int, values: list[int]) -> None:
-    """Inverse of ``_field``: OR values below 2**length into those bits."""
-    i, s = divmod(off, 64)
-    top = np.array(values, dtype=np.uint64) << np.uint64(64 - length)
-    words[:, i] |= top >> np.uint64(s)
-    if s + length > 64:
-        words[:, i + 1] |= top << np.uint64(64 - s)
-
-
 # the last stream of at most _BATCH vectors random_vectors decoded:
 # ((width, count, seed, type(seed)), its vectors)
 _decoded: tuple[tuple, tuple[InputVector, ...]] = ((0, 0, 0, int), ())
@@ -119,26 +100,16 @@ def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
     if key == _decoded[0]:
         return list(_decoded[1])
     rows = _stream_rows(width, 0, count, seed)
-    if width <= 64:
-        # each operand fits one uint64: slice all rows at once
-        words = rows.view(">u8")
-        fields = (_field(words, 0, width), _field(words, width, width), _field(words, 2 * width, 1))
-        cols = [f.tolist() for f in fields]
-    else:
-        step = rows.shape[1]
-        spare = 8 * step - (2 * width + 1)
-        mask = (1 << width) - 1
-        raw = rows.tobytes()
-        tops = [
-            int.from_bytes(raw[at : at + step], "big") >> spare for at in range(0, len(raw), step)
-        ]
-        cols = [
-            [t >> (width + 1) for t in tops],
-            [(t >> 1) & mask for t in tops],
-            [t & 1 for t in tops],
-        ]
+    step = rows.shape[1]
+    spare = 8 * step - (2 * width + 1)
+    mask = (1 << width) - 1
+    raw = rows.tobytes()
+    # a generator, so no list of row integers outlives its vector
+    tops = (int.from_bytes(raw[at : at + step], "big") >> spare for at in range(0, len(raw), step))
     # tuple.__new__ skips the generated Python __new__: one C call per vector
-    vectors = list(map(tuple.__new__, repeat(InputVector, count), zip(*cols)))
+    vectors = [
+        tuple.__new__(InputVector, (t >> (width + 1), (t >> 1) & mask, t & 1)) for t in tops
+    ]
     if count <= _BATCH:
         _decoded = key, tuple(vectors)
     return vectors
@@ -174,12 +145,6 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
             if not (0 <= v[0] <= top and 0 <= v[1] <= top and v[2] in (0, 1)):
                 raise InvalidWidth(f"vector {v} does not fit width {width}")
     nbits = 2 * width + 1
-    if width <= 64:
-        words = np.zeros((len(vectors), -(-nbits // 64)), dtype=np.uint64)
-        _put(words, 0, width, a)
-        _put(words, width, width, b)
-        _put(words, 2 * width, 1, cin)
-        return words.astype(">u8").view(np.uint8).reshape(len(vectors), 8 * words.shape[1])
     nbytes = -(-nbits // 8)
     pad = 8 * nbytes - nbits
     raw = b"".join(

@@ -40,7 +40,7 @@ from adderlab import (
     validate,
 )
 from adderlab.analyze import Improvement
-from adderlab.errors import InvalidMetric, InvalidNetlist, NothingToCompare
+from adderlab.errors import DanglingInput, InvalidMetric, InvalidNetlist, NothingToCompare
 
 from conftest import TABLE1_ROWS, random_arch_string
 
@@ -82,6 +82,14 @@ def test_net_capacitance_counts_sink_pins_and_output_load():
     assert net_capacitance(nl, LIB, nl.sums[0]) == pytest.approx(4.0)  # primary output FO4
 
 
+def test_net_capacitance_refuses_a_net_id_outside_the_table():
+    nl = compose("rca:1")
+    assert net_capacitance(nl, LIB, len(nl.nets) - 1) == pytest.approx(4.0)  # cout, the last net
+    for nid in (-1, len(nl.nets)):
+        with pytest.raises(DanglingInput, match=f"^no net with id {nid}$"):
+            net_capacitance(nl, LIB, nid)
+
+
 def test_critical_path_of_inverter_chain():
     # 0.03 + 0.03 + (0.02 + 0.010 * 4.0) by hand
     delay, path = critical_path(_inv_chain(), LIB)
@@ -109,7 +117,12 @@ def test_critical_path_refuses_a_netlist_without_gates():
     )
     with pytest.raises(InvalidNetlist) as exc:
         critical_path(nl, LIB)
-    assert list(map(str, exc.value.violations)) == ["UndrivenOutput(a[0])", "UndrivenOutput(b[0])"]
+    assert list(map(str, exc.value.violations)) == [
+        "UndrivenOutput(a[0])",
+        "UndrivenOutput(b[0])",
+        "OutputName(sum[0] is a[0])",
+        "OutputName(cout is b[0])",
+    ]
 
 
 def test_critical_path_checks_the_net_table_without_gates():
@@ -134,7 +147,7 @@ def test_critical_path_refuses_outputs_on_primary_inputs():
 def test_critical_path_of_a_lone_inverter():
     # output nets are distinct, so cout gets an inverter of its own: sum[0] is
     # the INV of a[0] on net 3, cout the INV of b[0] on net 4; the tie goes to g0
-    nets = ("a[0]", "b[0]", "cin", "n3", "n4")
+    nets = ("a[0]", "b[0]", "cin", "sum[0]", "cout")
     gates = (Gate(CellKind.INV, (0,)), Gate(CellKind.INV, (1,)))
     nl = Netlist(width=1, nets=nets, gates=gates, sums=(3,), cout=4)
     inv = LIB.cells[CellKind.INV]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,7 @@ def test_finish_rejects_wrong_sum_count():
     assert exc.value.violations == [
         Violation("SumCount", "2 of 1"),
         Violation("DuplicateOutput", "output nets must be distinct"),
+        Violation("OutputName", "sum[0] is sum[1]"),  # the net takes the last name given
     ]
 
 
@@ -141,6 +143,7 @@ def test_finish_rejects_duplicate_output_nets():
         b.finish([s], s)
     assert exc.value.violations == [
         Violation("DuplicateOutput", "output nets must be distinct"),
+        Violation("OutputName", "sum[0] is cout"),
         Violation("DanglingNet", "n4"),
     ]
 
@@ -197,6 +200,7 @@ def test_validate_reports_undriven_output():
     broken = dataclasses.replace(nl, sums=nl.sums[:3] + (nl.cin,))
     assert validate(broken) == [
         Violation("UndrivenOutput", "cin"),
+        Violation("OutputName", "sum[3] is cin"),
         Violation("DanglingNet", "sum[3]"),
     ]
 
@@ -216,9 +220,12 @@ def _raw_width1(gates, nets_extra, sums, cout):
 
 
 def test_validate_reports_repeated_output_nets():
-    # sum[0] and cout on one net, which to_text would write as "outputs n3 n3"
-    nl = _raw_width1([Gate(CellKind.INV, (0,))], ["n3"], sums=(3,), cout=3)
-    assert validate(nl) == [Violation("DuplicateOutput", "output nets must be distinct")]
+    # sum[0] and cout on one net, which to_text would write as "outputs sum[0] sum[0]"
+    nl = _raw_width1([Gate(CellKind.INV, (0,))], ["sum[0]"], sums=(3,), cout=3)
+    assert validate(nl) == [
+        Violation("DuplicateOutput", "output nets must be distinct"),
+        Violation("OutputName", "cout is sum[0]"),
+    ]
     assert _refused(topo_order, nl) == validate(nl)
 
 
@@ -450,7 +457,9 @@ def _extra_sum(spec):
 
 def _unsound_netlists():
     """rca:1 (gates XOR2 p, XOR2 sum[0], AND2, AND2, OR2 cout) broken one way
-    each, and rca:2 with an extra sum, with what ``validate`` reports."""
+    each, rca:2 with an extra sum, and a half adder whose outputs keep their
+    gate net names, which ``from_text`` would refuse; with what ``validate``
+    reports."""
     nl = compose("rca:1")
 
     def gate0(*inputs):
@@ -470,7 +479,16 @@ def _unsound_netlists():
         "xor-three-inputs": (gate0(0, 1, 2), ["ArityMismatch(g0 XOR2)"]),
         "sum-on-input": (
             dataclasses.replace(nl, sums=(0,)),
-            ["UndrivenOutput(a[0])", "DanglingNet(sum[0])"],
+            ["UndrivenOutput(a[0])", "OutputName(sum[0] is a[0])", "DanglingNet(sum[0])"],
+        ),
+        "outputs-named-n3-n4": (
+            _raw_width1(
+                [Gate(CellKind.XOR2, (0, 1)), Gate(CellKind.AND2, (0, 1))],
+                ["n3", "n4"],
+                sums=(3,),
+                cout=4,
+            ),
+            ["OutputName(sum[0] is n3)", "OutputName(cout is n4)"],
         ),
         "unread-gate-net": (
             dataclasses.replace(nl, gates=nl.gates[:4] + (nl.gates[4]._replace(inputs=(5, 5)),)),
@@ -548,6 +566,18 @@ def validate_reference(nl):
             out.append(Violation("UndrivenOutput", nl.nets[nid]))
     if len(set(nl.primary_outputs())) != len(nl.primary_outputs()):
         out.append(Violation("DuplicateOutput", "output nets must be distinct"))
+    # the names from_text reads: sum[i], cout, then ascending c<k> with 0 < k < width
+    ports = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums)] + [("cout", nl.cout)]
+    for port, nid in ports:
+        if nl.nets[nid] != port:
+            out.append(Violation("OutputName", f"{port} is {nl.nets[nid]}"))
+    last = 0
+    for i, nid in enumerate(nl.carries):
+        m = re.fullmatch("c([1-9][0-9]*)", nl.nets[nid])
+        if m and last < int(m[1]) < nl.width:
+            last = int(m[1])
+        else:
+            out.append(Violation("OutputName", f"carries[{i}] is {nl.nets[nid]}"))
 
     readers = {nid: [] for nid in range(nnets)}
     for k, g in enumerate(nl.gates):
@@ -576,15 +606,17 @@ _MUTATIONS = (
     "drop_reader",
     "forward_read",
     "sum_count",
+    "output_name",
 )
 
 
 @st.composite
 def mutilated_netlists(draw):
     """A small built netlist with 1-4 structural faults that keep the net
-    table as it was and every port id inside it."""
-    nl = compose(draw(st.sampled_from(["rca:1", "rca:2", "ccla:2", "scbcla:3", "rca:1,ccla:2"])))
-    gates, sums = list(nl.gates), list(nl.sums)
+    table's length and every port id inside it."""
+    specs = ["rca:1", "rca:2", "ccla:2", "ccla:3", "scbcla:3", "rca:1,ccla:2"]
+    nl = compose(draw(st.sampled_from(specs)))
+    gates, sums, nets = list(nl.gates), list(nl.sums), list(nl.nets)
     nnets, ngates = len(nl.nets), len(gates)
     first = 2 * nl.width + 1  # gate k drives net first + k
     pis = range(first)
@@ -601,6 +633,9 @@ def mutilated_netlists(draw):
         elif what == "sum_count":  # one sum more, on any net, or one fewer but never none
             grown = sums + [draw(st.integers(0, nnets - 1))]
             sums = draw(st.sampled_from([grown, sums[:-1]] if len(sums) > 1 else [grown]))
+        elif what == "output_name":  # another net's name, or a carry name from_text refuses
+            odd = ["n99", "c0", "c01", "c\u0661", "c-1", f"c{nl.width}"]
+            nets[draw(st.sampled_from(nl.primary_outputs()))] = draw(st.sampled_from(odd + nets))
         elif what == "arity":  # drop the last input or add one
             grown = ins + [draw(st.integers(0, nnets - 1))]
             g = g._replace(inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
@@ -615,7 +650,7 @@ def mutilated_netlists(draw):
                 ins[pin] = first + draw(st.integers(i, ngates - 1))
             g = g._replace(inputs=tuple(ins))
         gates[i] = g
-    return dataclasses.replace(nl, gates=tuple(gates), sums=tuple(sums))
+    return dataclasses.replace(nl, nets=tuple(nets), gates=tuple(gates), sums=tuple(sums))
 
 
 @settings(max_examples=300, deadline=None)

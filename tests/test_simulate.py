@@ -665,19 +665,21 @@ def test_a_float_seed_is_rejected_on_a_cold_and_a_warm_cache():
 
 @pytest.mark.parametrize("width", [1, 31, 32, 33, 40, 63, 64, 65, 130])
 def test_caller_vectors_pack_like_the_stream_they_came_from(width):
-    # operand fields that straddle uint64 words, and the wide integer path
+    # operands that straddle the stream's 64-bit words, and rows whose last
+    # byte or last word is only partly filled
     vecs = random_vectors(width, 50, seed=width)
     rows = simulate._stream_rows(width, 0, len(vecs), width)
     assert simulate._pack(width, simulate._vector_rows(width, vecs)) == simulate._pack(width, rows)
 
 
-def test_caller_vectors_encode_without_setting_off_a_garbage_collection():
+@pytest.mark.parametrize("width", [32, 64, 65, 1024])
+def test_caller_vectors_encode_without_setting_off_a_garbage_collection(width):
     # a transpose that holds one live iterator per vector, as zip(*vectors)
     # does, passes the default gen-0 threshold (700) on every 1024-vector batch
-    vecs = random_vectors(32, 1024, seed=1)
+    vecs = random_vectors(width, 1024, seed=1)
     gc.collect()
     before = gc.get_stats()[0]["collections"]
-    simulate._vector_rows(32, vecs)
+    simulate._vector_rows(width, vecs)
     assert gc.get_stats()[0]["collections"] == before
 
 
