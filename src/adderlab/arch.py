@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 
-from .errors import InvalidBlockWidth, ParseError, UnknownPreset
+from .errors import InvalidBlockWidth, ParseError, UnknownPreset, parse_int
 
 # ---------------------------------------------------------------------------
 
@@ -99,8 +99,8 @@ def parse_arch_spec(text: str) -> ArchitectureSpec:
             kind = BlockKind(kind_txt.lower())
         except ValueError:
             raise ParseError(f"unknown block kind {kind_txt!r}") from None
-        width = int(width_txt)
-        repeat = int(repeat_txt) if repeat_txt else 1
+        width = parse_int(width_txt, "block width")
+        repeat = parse_int(repeat_txt, "repeat count") if repeat_txt else 1
         if repeat < 1:
             raise InvalidBlockWidth(f"repeat count must be >= 1 in {term!r}")
         blocks.extend(BlockSpec(kind, width) for _ in range(repeat))

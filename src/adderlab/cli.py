@@ -23,7 +23,7 @@ from .analyze import (
 )
 from .arch import ArchitectureSpec, PRESETS, parse_arch_spec, preset
 from .cells import default_library, load_library
-from .errors import AdderLabError, InvalidWidth, ParseError
+from .errors import AdderLabError, InvalidWidth, ParseError, parse_int
 from .generate import compose
 from .netio import read_text, read_utf8, to_text, to_verilog
 from .simulate import (
@@ -143,7 +143,7 @@ def _expand_presets(text: str) -> list[str]:
         item = item.strip()
         m = _RANGE_RE.match(item)
         if m and m.group(1) == m.group(3):
-            lo, hi = int(m.group(2)), int(m.group(4))
+            lo, hi = (parse_int(m.group(n), "preset range bound") for n in (2, 4))
             if lo > hi:
                 raise ParseError(f"empty preset range {item!r}")
             names.extend(f"{m.group(1)}{i}" for i in range(lo, hi + 1))

@@ -55,6 +55,19 @@ class ParseError(AdderLabError):
         super().__init__(message)
 
 
+# far above any width that can be built, far below the 4300 digits past
+# which int() refuses a decimal string
+_MAX_DIGITS = 18
+
+
+def parse_int(digits: str, what: str, line: int | None = None) -> int:
+    """A decimal string the caller has matched, as an int; ParseError when
+    it is longer than ``_MAX_DIGITS``, checked before ``int()`` runs."""
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(f"{what} has {len(digits)} digits, more than {_MAX_DIGITS}", line=line)
+    return int(digits)
+
+
 class IncompleteLibrary(AdderLabError):
     """Cell library is missing a model for a required cell kind."""
 

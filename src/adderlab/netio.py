@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 from .netlist import CellKind, Gate, Netlist, Violation, input_names, topo_order
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def from_text(text: str) -> Netlist:
     m = _WIDTH_RE.match(lines[0])
     if not m:
         raise ParseError(f"expected 'width <N>', got {lines[0]!r}", line=1)
-    width = int(m.group(1))
+    width = parse_int(m.group(1), "width", line=1)
     if width < 1:
         raise ParseError("width must be >= 1", line=1)
     if len(lines) < width + 3:  # header, outputs and one gate per sum[i] and cout
@@ -113,10 +113,10 @@ def from_text(text: str) -> Netlist:
                 raise ParseError(f"expected {want!r} {where}", line=lineno)
         elif not (m := _CARRY_RE.match(tok)):
             raise ParseError(f"bad carry output name {tok!r}", line=lineno)
-        elif int(m.group(1)) <= last_k:
+        elif (k := parse_int(m.group(1), "carry output index", line=lineno)) <= last_k:
             raise ParseError("carry outputs must have ascending indices", line=lineno)
         else:
-            last_k = int(m.group(1))
+            last_k = k
         if tok not in by_name:
             raise ParseError(f"output net {tok!r} is never driven", line=lineno)
         if i > width and last_k >= width:

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import InsufficientVectors, InvalidWidth
 from .netlist import Netlist, topo_order
 
@@ -69,6 +67,8 @@ class InputVector(NamedTuple):
 
 def _stream_rows(width: int, start: int, count: int, seed: int) -> np.ndarray:
     """Stream vectors start .. start+count-1 as rows of big-endian bytes."""
+    import numpy as np
+
     # prng_word in uint64 arrays, which wrap silently; numpy scalars would warn
     nwords = -(-(2 * width + 1) // 64)
     k = np.arange(start * nwords + 1, (start + count) * nwords + 1, dtype=np.uint64)
@@ -129,6 +129,8 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
     a whole; only when that fails is each vector checked, so the error
     names the first bad one.
     """
+    import numpy as np
+
     # not zip(*vectors): one live iterator per vector trips a GC pass on a large batch
     flat = list(map(operator.index, chain.from_iterable(vectors)))
     a, b, cin = flat[0::3], flat[1::3], flat[2::3]
@@ -156,10 +158,7 @@ def _vector_rows(width: int, vectors: list[InputVector]) -> np.ndarray:
 
 # (shift, mask) steps of the 8x8 bit-matrix transpose (Hacker's Delight,
 # transpose8): bit 8i+j of a 64-bit word swaps with bit 8j+i
-_TRANSPOSE8 = tuple(
-    (np.uint64(s), np.uint64(m))
-    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-)
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _pack(w: int, rows: np.ndarray) -> list[int]:
@@ -174,10 +173,14 @@ def _pack(w: int, rows: np.ndarray) -> list[int]:
     of byte column k's word, row 8q+i at bit i: one packed byte of that
     bit's column.
     """
+    import numpy as np
+
     nrows = len(rows)
     nbytes = -(-(2 * w + 1) // 8)
     step = 8 * max(1, (1 << 13) // nbytes)
     bit = np.r_[w - 1 : -1 : -1, 2 * w - 1 : w - 1 : -1, 2 * w]  # stream bit per input net
+    # numpy scalars, not Python ints: numpy 1.x may promote uint64 and int to float64
+    steps = [(np.uint64(s), np.uint64(m)) for s, m in _TRANSPOSE8]
     packed = np.empty((2 * w + 1, -(-nrows // 8)), dtype=np.uint8)
     for at in range(0, nrows, step):
         block = rows[at : at + step]
@@ -185,7 +188,7 @@ def _pack(w: int, rows: np.ndarray) -> list[int]:
         cols = np.zeros((nbytes, 8 * n8), dtype=np.uint8)
         cols[:, : len(block)] = block[:, :nbytes].T
         x = cols.view("<u8")
-        for shift, mask in _TRANSPOSE8:
+        for shift, mask in steps:
             t = x >> shift
             t ^= x
             t &= mask
@@ -336,6 +339,8 @@ def run_vectors(
 
 def dump_trace(nl: Netlist, vectors: list[InputVector], fh) -> None:
     """Write one line per vector: net values as 0/1 digits in net-id order."""
+    import numpy as np
+
     nnets = len(nl.nets)
     for n, values in _vector_batches(nl, vectors):
         nbytes = -(-n // 8)

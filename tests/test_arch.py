@@ -52,6 +52,14 @@ def test_parse_rejects_malformed_terms(text):
         (b"rca:4", "architecture must be a string, got bytes"),
         ("", "empty architecture string"),
         ("  ", "empty architecture string"),
+        # refused by digit count before int() runs, which stops at 4300 digits
+        pytest.param(
+            "rca:" + "9" * 5000, "block width has 5000 digits, more than 18", id="width-5000"
+        ),
+        pytest.param(
+            "rca:1x" + "1" * 5000, "repeat count has 5000 digits, more than 18", id="repeat-5000"
+        ),
+        ("ccla:1" + "0" * 18, "block width has 19 digits, more than 18"),
     ],
 )
 def test_parse_names_a_missing_or_non_string_architecture(spec, message):

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +339,60 @@ def test_compare_rejects_a_repeated_preset(names, capsys):
     assert captured.out == ""
     repeated = "design1" if names == "design1,design1" else "design2"
     assert "error: ParseError" in captured.err and f"'{repeated}'" in captured.err
+
+
+_DIGITS = "1" * 5000  # past the 4300 digits int() accepts
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--arch", f"rca:{_DIGITS}"], "block width has 5000 digits"),
+        (["gen", "--arch", f"rca:1x{_DIGITS}"], "repeat count has 5000 digits"),
+        (["compare", "--presets", f"design1..design{_DIGITS}"], "preset range bound has 5000"),
+        (["export", "--from-file", "width.net"], "line 1: width has 5000 digits"),
+        (["verify", "--from-file", "carry.net"], "line 13: carry output index has 5000"),
+    ],
+)
+def test_a_5000_digit_number_is_a_named_error(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "width.net").write_text(f"width {_DIGITS}\noutputs sum[0]\n")
+    text = to_text(compose("ccla:2"))
+    assert text.endswith(" cout c1\n") and text.count(" c1") == 3
+    (tmp_path / "carry.net").write_text(text.replace(" c1", f" c{_DIGITS}"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: ParseError: {message}")
+
+
+# in a fresh interpreter: is numpy loaded after import, and after each command?
+_NUMPY_PROBE = """
+import json, sys
+import adderlab, adderlab.cli
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    seen.append([adderlab.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_where_a_stream_is_built(tmp_path):
+    steps = [
+        ["gen", "--preset", "design6", "--out", "d6.net"],
+        ["export", "--from-file", "d6.net", "--out", "d6b.net"],
+        ["verify", "--arch", "rca:8"],
+        ["compare", "--table1", str(TABLE1_CSV)],
+        ["verify", "--preset", "design6"],  # 100k random vectors: the stream needs numpy
+    ]
+    path = [str(Path(adderlab.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [False, [0, False], [0, False], [0, False], [0, False], [0, True]]
 
 
 def test_export_round_trip(tmp_path, capsys):

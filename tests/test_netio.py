@@ -174,6 +174,13 @@ _PARSE_ERRORS = [
      "expected 'width <N>', got 'width 01'", 1),
     ("too-few-lines", "width 5000\noutputs sum[0]\n",
      "width 5000 needs 5003 lines or more, got 2", 1),
+    # 18 digits are read as a number; one more is refused before int() runs
+    ("width-18-digits", _edit(("width 1", "width " + "9" * 18)),
+     f"width {'9' * 18} needs 1000000000000000002 lines or more, got 7", 1),
+    ("width-19-digits", _edit(("width 1", "width 1" + "0" * 18)),
+     "width has 19 digits, more than 18", 1),
+    ("width-5000-digits", _edit(("width 1", "width " + "1" * 5000)),
+     "width has 5000 digits, more than 18", 1),
     ("gate-line", _edit((" -> sum[0]", " sum[0]")), "bad gate line 'g1 XOR2 n0 cin sum[0]'", 3),
     ("gate-id", _edit(("g1 XOR2", "g7 XOR2")), "gate ids must be sequential, expected g1", 3),
     ("gate-id-no-outputs", _edit(("g1 XOR2", "g7 XOR2"), (_OUTS, "")),
@@ -206,6 +213,9 @@ _PARSE_ERRORS = [
      "bad carry output name 'c\u0661'", 7),
     ("carry-zero-padded", _edit(("n3", "c01"), (_OUTS, "outputs sum[0] cout c01\n")),
      "bad carry output name 'c01'", 7),
+    ("carry-5000-digits",
+     _edit(("n3", "c" + "1" * 5000), (_OUTS, f"outputs sum[0] cout c{'1' * 5000}\n")),
+     "carry output index has 5000 digits, more than 18", 7),
     ("carry-order", _edit((_OUTS, "outputs sum[0] cout c0\n")),
      "carry outputs must have ascending indices", 7),
     ("carry-undriven", _edit((_OUTS, "outputs sum[0] cout c1\n")),
