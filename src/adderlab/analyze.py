@@ -18,6 +18,8 @@ fom    = 1e6 / (power * delay * area); bigger is better. The scale
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -276,12 +278,12 @@ def compare(reports: list[AnalysisReport]) -> Comparison:
 
 
 def comparison_csv(cmp: Comparison) -> str:
-    lines = ["design,power_uw,delay_ns,area_um2,fom_scaled"]
+    out = io.StringIO()  # csv quotes a name as --table1 reads it; floats go through repr()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["design", "power_uw", "delay_ns", "area_um2", "fom_scaled"])
     for r in cmp.ranking:
-        lines.append(
-            f"{r.design},{r.power_uw!r},{r.delay_ns!r},{r.area_um2!r},{r.fom_scaled!r}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.writerow((r.design, r.power_uw, r.delay_ns, r.area_um2, r.fom_scaled))
+    return out.getvalue()
 
 
 def format_comparison(cmp: Comparison) -> str:

@@ -146,7 +146,9 @@ def _expand_presets(text: str) -> list[str]:
             lo, hi = (parse_int(m.group(n), "preset range bound") for n in (2, 4))
             if lo > hi:
                 raise ParseError(f"empty preset range {item!r}")
-            names.extend(f"{m.group(1)}{i}" for i in range(lo, hi + 1))
+            for i in range(lo, hi + 1):  # only as far as the first name that is no preset
+                names.append(f"{m.group(1)}{i}")
+                preset(names[-1])
         elif item:
             names.append(item)
     if not names:
@@ -166,6 +168,8 @@ def _read_metrics_csv(path: str):
         raise ParseError(f"metrics CSV needs columns {', '.join(sorted(need))}")
     reports, seen = [], set()
     for row in reader:
+        if None in row:  # DictReader files the fields past the header under None
+            raise ParseError("metrics row has more fields than the header", line=reader.line_num)
         name = row["design"] or ""
         if not name.strip():
             raise ParseError("metrics row has an empty design name", line=reader.line_num)

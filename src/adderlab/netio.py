@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, parse_int
-from .netlist import CellKind, Gate, Netlist, Violation, input_names, topo_order
+from .errors import InvalidNetlist, ParseError, parse_int
+from .netlist import CellKind, Gate, Netlist, _sealed, input_names, topo_order
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -40,13 +40,13 @@ def to_text(nl: Netlist) -> str:
 
 # numbers are ASCII decimals as to_text writes them: no other digits and no
 # leading zero (a gate id is compared with g<k> as text)
-_DECIMAL = "(0|[1-9][0-9]*)"
-_WIDTH_RE = re.compile(f"^width {_DECIMAL}$")
-_CARRY_RE = re.compile(f"^c{_DECIMAL}$")
+_WIDTH_RE = re.compile("^width (0|[1-9][0-9]*)$")
 _KINDS = {kind.value: kind for kind in CellKind}
 
 
 def from_text(text: str) -> Netlist:
+    """The netlist ``text`` holds. What one line shows is a ParseError with
+    its line number; then ``validate``'s violations make one with none."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -63,7 +63,6 @@ def from_text(text: str) -> Netlist:
         raise ParseError(f"width {width} needs {width + 3} lines or more, got {len(lines)}", line=1)
 
     by_name = {name: nid for nid, name in enumerate(input_names(width))}  # in id order
-    read = bytearray(len(by_name) + len(lines) - 2)  # a flag per net: one net per gate line
     gates: list[Gate] = []
     for lineno, line in enumerate(lines[1:], start=2):
         gid = f"g{lineno - 2}"
@@ -94,8 +93,6 @@ def from_text(text: str) -> Netlist:
             raise ParseError(f"input net {ins[ids.index(None)]!r} is not defined yet", line=lineno)
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
-        for nid in ids:
-            read[nid] = 1
         by_name[out_name] = len(by_name)
         gates.append(tuple.__new__(Gate, (kind, ids)))  # one C call, see NetlistBuilder.place
     else:
@@ -104,33 +101,14 @@ def from_text(text: str) -> Netlist:
     tokens = line.split(" ")[1:]
     if len(tokens) < width + 1:
         raise ParseError(f"outputs line needs at least {width + 1} names", line=lineno)
-    outputs, last_k = [], 0  # sum[0..width), cout, then carries c<k> with 0 < k < width
-    for i, tok in enumerate(tokens):
-        if i <= width:
-            want = "cout" if i == width else f"sum[{i}]"
-            if tok != want:
-                where = "after the sum outputs" if i == width else f"at position {i}"
-                raise ParseError(f"expected {want!r} {where}", line=lineno)
-        elif not (m := _CARRY_RE.match(tok)):
-            raise ParseError(f"bad carry output name {tok!r}", line=lineno)
-        elif (k := parse_int(m.group(1), "carry output index", line=lineno)) <= last_k:
-            raise ParseError("carry outputs must have ascending indices", line=lineno)
-        else:
-            last_k = k
-        if tok not in by_name:
-            raise ParseError(f"output net {tok!r} is never driven", line=lineno)
-        if i > width and last_k >= width:
-            raise ParseError(f"carry output {tok!r} is not below the width {width}", line=lineno)
-        outputs.append(by_name[tok])
-        read[outputs[-1]] = 1
-    names, off = tuple(by_name), 2 * width + 1
-    if 0 in read[off:]:  # a gate's net that no gate reads and that is no output
-        unread = [Violation("DanglingNet", n) for n, r in zip(names[off:], read[off:]) if not r]
-        raise ParseError("; ".join(map(str, unread)))
-    sums, cout, carries = tuple(outputs[:width]), outputs[width], tuple(outputs[width + 1 :])
-    nl = Netlist(width, names, tuple(gates), sums, cout, carries)
-    object.__setattr__(nl, "_checked", True)  # see topo_order
-    return nl
+    outputs = tuple(map(by_name.get, tokens))
+    if None in outputs:
+        raise ParseError(f"output net {tokens[outputs.index(None)]!r} is never driven", line=lineno)
+    sums, cout, carries = outputs[:width], outputs[width], outputs[width + 1 :]
+    try:
+        return _sealed(Netlist(width, tuple(by_name), tuple(gates), sums, cout, carries))
+    except InvalidNetlist as exc:
+        raise ParseError(str(exc)) from None
 
 
 def write_text(nl: Netlist, path: str) -> None:

@@ -130,9 +130,11 @@ def input_layout(width: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return tuple(range(width)), tuple(range(width, 2 * width)), 2 * width
 
 
-def input_names(width: int) -> list[str]:
-    """Names of the primary-input nets in id order."""
-    return [f"a[{i}]" for i in range(width)] + [f"b[{i}]" for i in range(width)] + ["cin"]
+@functools.lru_cache(maxsize=4)
+def input_names(width: int) -> tuple[str, ...]:
+    """Names of the primary-input nets in id order; every netlist of one
+    width shares these strings, which makes comparing them cheap."""
+    return (*[f"a[{i}]" for i in range(width)], *[f"b[{i}]" for i in range(width)], "cin")
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +203,18 @@ class NetlistBuilder:
 
         ``sums`` gives the net driving each sum bit (LSB first), ``cout``
         the carry-out net, and ``carries`` pairs of (global carry index,
-        net id) for lookahead carries to expose as c<k> outputs.
+        net id) for lookahead carries to expose as c<k> outputs; ``validate``
+        refuses a c<k> outside 1..width-1 or given twice as an OutputName.
         """
         carries = tuple(sorted(carries))
-        bad = []
-        for i, (k, _) in enumerate(carries):
-            if not 0 < k < self.width:
-                bad.append(Violation("CarryIndex", f"c{k} at width {self.width}"))
-            elif i and k == carries[i - 1][0]:
-                bad.append(Violation("CarryIndex", f"c{k} given twice"))
-        if bad:
-            raise InvalidNetlist(bad)
-        rename: dict[int, str] = {}
-        for i, nid in enumerate(sums):
-            rename[nid] = f"sum[{i}]"
-        rename[cout] = "cout"
-        for k, nid in carries:
-            rename[nid] = f"c{k}"
-        nets = input_names(self.width) + [f"n{k}" for k in range(len(self._gates))]
-        for nid, name in rename.items():
+        nets = [*input_names(self.width), *[f"n{k}" for k in range(len(self._gates))]]
+        named = [(nid, f"sum[{i}]") for i, nid in enumerate(sums)] + [(cout, "cout")]
+        named += [(nid, f"c{k}") for k, nid in carries]
+        for nid, name in named:  # the last name given to a net wins
             if 0 <= nid < len(nets):
                 nets[nid] = name
-        nl = Netlist(
-            width=self.width,
-            nets=tuple(nets),
-            gates=tuple(self._gates),
-            sums=tuple(sums),
-            cout=cout,
-            carries=tuple(nid for _, nid in carries),
-        )
-        topo_order(nl)
-        object.__setattr__(nl, "_checked", True)  # see topo_order
-        return nl
+        gates, exposed = tuple(self._gates), tuple(nid for _, nid in carries)
+        return _sealed(Netlist(self.width, tuple(nets), gates, tuple(sums), cout, exposed))
 
 
 def flatten(
@@ -255,14 +237,18 @@ def flatten(
 def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
-    Checks: one net per primary input and gate (else only NetCount), port
-    ids inside the net table (else only a DanglingPort per bad port), one
-    sum per bit, arity, dangling gate inputs, primary outputs driven by
-    gates, distinct and named as ``from_text`` reads them (OutputName), no
-    dangling gate outputs, and last the gate order:
-    the first read, in list order, of a gate's own net or a later gate's
-    (every cycle holds such a read).
+    The one rulebook: ``validate(nl) == []`` exactly when ``nl`` reads
+    back from ``to_text(nl)`` as itself. Checks: a width of 1 or more
+    (else only Width), one net per primary input and gate (else only
+    NetCount), port ids inside the net table (else only a DanglingPort per
+    bad port), one sum per bit, arity, dangling gate inputs, primary
+    outputs driven by gates and distinct, the names (``_misnamed``), no
+    dangling gate outputs, and last the gate order: the first read, in
+    list order, of a gate's own net or a later gate's (every cycle holds
+    such a read).
     """
+    if nl.width < 1:
+        return [Violation("Width", f"{nl.width} is below 1")]
     nnets, off = len(nl.nets), nl.offset
     if nnets != off + len(nl.gates):
         subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
@@ -317,10 +303,23 @@ def _output_names(nsums: int, width: int) -> tuple[tuple[str, ...], dict[str, in
 
 
 def _misnamed(nl: Netlist) -> list[Violation]:
-    """An OutputName for each output whose net is not named as ``from_text``
-    reads it; carries must also come in ascending k."""
-    nets = nl.nets
+    """An InputName per primary input not named as ``input_names`` gives;
+    per net, a NetName if its name is empty or holds whitespace and a
+    DuplicateName if an earlier net has it; an OutputName per output not
+    named as ``from_text`` reads it (carries also in ascending k)."""
+    nets, inputs = nl.nets, input_names(nl.width)
     names, carry_index = _output_names(len(nl.sums), nl.width)
+    out = []
+    if nets[: len(inputs)] != inputs:
+        out += [Violation("InputName", f"{w} is {n}") for w, n in zip(inputs, nets) if n != w]
+    unique, joined = set(nets), "".join(nets)
+    if len(unique) < len(nets) or "" in unique or joined.split() != [joined]:  # a rule is broken
+        first: dict[str, int] = {}
+        for nid, name in enumerate(nets):
+            if name.split() != [name]:
+                out.append(Violation("NetName", f"net {nid} is {name!r}"))
+            if first.setdefault(name, nid) != nid:
+                out.append(Violation("DuplicateName", f"{name} names nets {first[name]} and {nid}"))
     ports = (*nl.sums, nl.cout)
     bad = [(want, nid) for want, nid in zip(names, ports) if nets[nid] != want]
     last = 0
@@ -330,7 +329,7 @@ def _misnamed(nl: Netlist) -> list[Violation]:
             last = k
         else:
             bad.append((f"carries[{i}]", nid))
-    return [Violation("OutputName", f"{port} is {nets[nid]}") for port, nid in bad]
+    return out + [Violation("OutputName", f"{port} is {nets[nid]}") for port, nid in bad]
 
 
 def topo_order(nl: Netlist) -> None:
@@ -339,12 +338,19 @@ def topo_order(nl: Netlist) -> None:
     Every entry point that reads nets by id calls this first, so none
     reads a netlist that ``validate`` refuses. The gate list is the
     evaluation order: gate k reads only primary inputs and the nets of
-    gates below k. ``NetlistBuilder.finish`` (through this) and
-    ``from_text`` check all of ``validate``, build only tuples and mark
-    what they return, which this then trusts; any other Netlist, a
+    gates below k. ``NetlistBuilder.finish`` and ``from_text`` return what
+    ``_sealed`` marked, which this then trusts; any other Netlist, a
     ``dataclasses.replace`` copy too, is validated on every call.
     """
     if not getattr(nl, "_checked", False):
         problems = validate(nl)
         if problems:
             raise InvalidNetlist(problems)
+
+
+def _sealed(nl: Netlist) -> Netlist:
+    """``nl`` once ``topo_order`` passes it, marked so that later calls trust
+    it; only for a Netlist of tuples that no caller holds yet."""
+    topo_order(nl)
+    object.__setattr__(nl, "_checked", True)
+    return nl

@@ -26,6 +26,11 @@ TABLE1_ROWS = [
     ("design6", 41.16, 2.23, 440.43),
 ]
 
+# net names to give a netlist: the first seven break a name rule when given
+# to a gate net of a built adder (empty, whitespace, or the name of an
+# input or output), the last four are free names
+ODD_NAMES = ["n 0", "", "n\t0", "n\n0", "a[0]", "sum[1]", "cout", "->", "outputs", "p", "x"]
+
 _MIN_BLOCK_WIDTH = {"rca": 1, "ccla": 2, "scbcla": 2}
 
 

@@ -312,6 +312,53 @@ def test_compare_table_rejects_a_repeated_or_empty_design_name(row, message, tmp
     assert f"error: ParseError: {message}\n" in captured.err
 
 
+def test_compare_csv_reads_back_as_written(tmp_path, capsys):
+    # a design name holding a comma or a quote is quoted, and read back whole
+    rows = tmp_path / "rows.csv"
+    rows.write_text('design,power_uw,delay_ns,area_um2\n"d,1",1.0,2.0,400.0\n"q""2",1.0,2.0,300.0\n')
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["compare", "--table1", str(rows), "--out", str(first)]) == 0
+    assert first.read_text().splitlines()[1:] == [
+        '"q""2",1.0,2.0,300.0,1666.6666666666667',
+        '"d,1",1.0,2.0,400.0,1250.0',
+    ]
+    assert main(["compare", "--table1", str(first), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    capsys.readouterr()
+
+
+def test_compare_table_rejects_a_row_with_more_fields_than_its_header(tmp_path, capsys):
+    bad = tmp_path / "wide.csv"
+    bad.write_text("design,power_uw,delay_ns,area_um2\nd,1,1.0,2.0,400.0\nd2,1.0,2.0,400.0\n")
+    assert main(["compare", "--table1", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ParseError: line 2: metrics row has more fields than the header\n"
+    )
+
+
+_HUGE_RANGE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from adderlab.cli import main
+sys.exit(main(["compare", "--presets", "design1..design999999999999999999"]))
+"""
+
+
+def test_a_huge_preset_range_stops_at_its_first_unknown_name():
+    # in a child capped at 512 MiB of address space: building the range
+    # first would end in MemoryError
+    path = [str(Path(adderlab.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", _HUGE_RANGE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: UnknownPreset: no preset 'design7'")
+    assert "Traceback" not in done.stderr
+
+
 def test_compare_preset_range_expansion(capsys):
     code = main(["compare", "--presets", "design3..design4", "--vectors", "64"])
     assert code == 0
@@ -351,7 +398,7 @@ _DIGITS = "1" * 5000  # past the 4300 digits int() accepts
         (["gen", "--arch", f"rca:1x{_DIGITS}"], "repeat count has 5000 digits"),
         (["compare", "--presets", f"design1..design{_DIGITS}"], "preset range bound has 5000"),
         (["export", "--from-file", "width.net"], "line 1: width has 5000 digits"),
-        (["verify", "--from-file", "carry.net"], "line 13: carry output index has 5000"),
+        (["verify", "--from-file", "carry.net"], "OutputName(carries[0] is c1111"),
     ],
 )
 def test_a_5000_digit_number_is_a_named_error(argv, message, tmp_path, monkeypatch, capsys):

@@ -41,6 +41,8 @@ from adderlab.errors import (
 )
 from adderlab.netlist import Violation, flatten
 
+from conftest import ODD_NAMES
+
 
 def test_builder_preallocates_primary_inputs():
     b = NetlistBuilder(3)
@@ -150,11 +152,13 @@ def test_finish_rejects_duplicate_output_nets():
 
 def test_finish_rejects_output_with_no_driver():
     b, s, _ = _full_adder_by_hand()
-    # cin is a primary input, not a gate output, and the carry gate's output n4 is left unread
+    # cin is a primary input, not a gate output, so finish renames an input;
+    # and the carry gate's output n4 is left unread
     with pytest.raises(InvalidNetlist) as exc:
         b.finish([s], b.cin)
     assert exc.value.violations == [
         Violation("UndrivenOutput", "cout"),
+        Violation("InputName", "cin is cout"),
         Violation("DanglingNet", "n4"),
     ]
 
@@ -174,19 +178,21 @@ def _ripple_by_hand(width):
 
 
 @pytest.mark.parametrize(
-    "width, carries, subject",
+    "width, carries, violations",
     [
-        (1, [(5, "p0")], "c5 at width 1"),
-        (2, [(1, "c1"), (1, "p1")], "c1 given twice"),
-        (2, [(0, "c1")], "c0 at width 2"),
+        (1, [(5, "p0")], ["OutputName(carries[0] is c5)"]),
+        (2, [(1, "c1"), (1, "p1")], ["DuplicateName(c1 names nets 9 and 10)",
+                                     "OutputName(carries[1] is c1)"]),
+        (2, [(0, "c1")], ["OutputName(carries[0] is c0)"]),
     ],
     ids=["beyond-width", "repeated", "zero"],
 )
-def test_finish_rejects_carry_indices_the_text_format_cannot_hold(width, carries, subject):
+def test_finish_rejects_carry_indices_the_text_format_cannot_hold(width, carries, violations):
+    # finish names each carry's net c<k> as given, and validate refuses the name
     b, sums, cout, named = _ripple_by_hand(width)
     with pytest.raises(InvalidNetlist) as exc:
         b.finish(sums, cout, carries=[(k, named[net]) for k, net in carries])
-    assert exc.value.violations == [Violation("CarryIndex", subject)]
+    assert list(map(str, exc.value.violations)) == violations
 
 
 def test_generated_presets_validate_clean():
@@ -465,6 +471,9 @@ def _unsound_netlists():
     def gate0(*inputs):
         return dataclasses.replace(nl, gates=(nl.gates[0]._replace(inputs=inputs),) + nl.gates[1:])
 
+    def renamed(nid, name):
+        return dataclasses.replace(nl, nets=nl.nets[:nid] + (name,) + nl.nets[nid + 1 :])
+
     return {
         "short-net-table": (
             dataclasses.replace(nl, nets=nl.nets[:-1]),
@@ -494,6 +503,9 @@ def _unsound_netlists():
             dataclasses.replace(nl, gates=nl.gates[:4] + (nl.gates[4]._replace(inputs=(5, 5)),)),
             ["DanglingNet(n3)"],
         ),
+        "input-renamed": (renamed(0, "x"), ["InputName(a[0] is x)"]),
+        "space-in-name": (renamed(3, "n 0"), ["NetName(net 3 is 'n 0')"]),
+        "name-used-twice": (renamed(3, "sum[0]"), ["DuplicateName(sum[0] names nets 3 and 4)"]),
     }
 
 
@@ -503,6 +515,15 @@ def test_every_entry_point_refuses_exactly_what_validate_reports(entry, unsound)
     bad, want = _unsound_netlists()[unsound]
     assert list(map(str, validate(bad))) == want
     assert _refused(entry, bad) == validate(bad)
+
+
+def test_validate_refuses_a_width_below_one():
+    # "width 0" is no header from_text reads, so validate stops at the width
+    nl = Netlist(0, ("cin", "cout"), (Gate(CellKind.INV, (0,)),), sums=(), cout=1)
+    assert validate(nl) == [Violation("Width", "0 is below 1")]
+    assert _refused(topo_order, nl) == validate(nl)
+    with pytest.raises(InvalidNetlist, match=r"^Width\(0 is below 1\)$"):
+        to_text(nl)
 
 
 def test_a_hand_built_netlist_is_checked_on_every_call():
@@ -566,7 +587,20 @@ def validate_reference(nl):
             out.append(Violation("UndrivenOutput", nl.nets[nid]))
     if len(set(nl.primary_outputs())) != len(nl.primary_outputs()):
         out.append(Violation("DuplicateOutput", "output nets must be distinct"))
-    # the names from_text reads: sum[i], cout, then ascending c<k> with 0 < k < width
+    # the names from_text reads: the inputs a[i], b[i] and cin first, every
+    # name non-empty, free of whitespace and used once; sum[i], cout, then
+    # ascending c<k> with 0 < k < width
+    w = nl.width
+    inputs = [f"a[{i}]" for i in range(w)] + [f"b[{i}]" for i in range(w)] + ["cin"]
+    for want, got in zip(inputs, nl.nets):
+        if got != want:
+            out.append(Violation("InputName", f"{want} is {got}"))
+    for nid, name in enumerate(nl.nets):
+        if name == "" or any(ch.isspace() for ch in name):
+            out.append(Violation("NetName", f"net {nid} is {name!r}"))
+        if name in nl.nets[:nid]:
+            first = nl.nets.index(name)
+            out.append(Violation("DuplicateName", f"{name} names nets {first} and {nid}"))
     ports = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums)] + [("cout", nl.cout)]
     for port, nid in ports:
         if nl.nets[nid] != port:
@@ -607,6 +641,7 @@ _MUTATIONS = (
     "forward_read",
     "sum_count",
     "output_name",
+    "net_name",
 )
 
 
@@ -636,6 +671,8 @@ def mutilated_netlists(draw):
         elif what == "output_name":  # another net's name, or a carry name from_text refuses
             odd = ["n99", "c0", "c01", "c\u0661", "c-1", f"c{nl.width}"]
             nets[draw(st.sampled_from(nl.primary_outputs()))] = draw(st.sampled_from(odd + nets))
+        elif what == "net_name":  # any net, an input too, named as another or as from_text refuses
+            nets[draw(st.integers(0, nnets - 1))] = draw(st.sampled_from(ODD_NAMES + nets))
         elif what == "arity":  # drop the last input or add one
             grown = ins + [draw(st.integers(0, nnets - 1))]
             g = g._replace(inputs=tuple(draw(st.sampled_from([ins[:-1], grown]))))
