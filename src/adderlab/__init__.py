@@ -28,11 +28,8 @@ from .generate import (
     carry_terms,
     compose,
     gen_ccla_block,
-    gen_cclg,
-    gen_pg,
     gen_rca_block,
     gen_scbcla_block,
-    gen_scclg,
 )
 from .netio import from_text, read_text, to_text, to_verilog, write_text
 from .netlist import (
@@ -86,11 +83,8 @@ __all__ = [
     "format_comparison",
     "from_text",
     "gen_ccla_block",
-    "gen_cclg",
-    "gen_pg",
     "gen_rca_block",
     "gen_scbcla_block",
-    "gen_scclg",
     "load_library",
     "metrics_report",
     "net_capacitance",

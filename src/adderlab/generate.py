@@ -3,8 +3,8 @@
 All generators work on a :class:`~adderlab.netlist.NetlistBuilder` and
 return the net ids of what they produced, so sections can be chained
 through their carries. ``compose`` runs each (kind, width) generator once
-and places copies of the cached template; a ripple block is placed as
-one-bit full adders, so no wide template is ever kept.
+and places copies of the cached :class:`Template`; a ripple block is placed
+as one-bit full adders, so no wide template is ever kept.
 
 The carry algebra: with generate g[i] = a[i]&b[i] and propagate
 p[i] = a[i]^b[i], carries obey c[i+1] = g[i] | (p[i] & c[i]) and sums
@@ -29,6 +29,7 @@ carry leaves through the fast flattened cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import ArchitectureSpec, BlockKind, BlockSpec, coerce_arch
 from .errors import InvalidBlockWidth
@@ -37,14 +38,6 @@ from .netlist import CellKind, Netlist, NetlistBuilder, flatten
 # ---------------------------------------------------------------------------
 # Small result records
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PGBundle:
-    """Per-bit generate/propagate nets for a run of adjacent bits."""
-
-    g: tuple[int, ...]
-    p: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,16 +74,14 @@ def gen_full_adder(b: NetlistBuilder, a_net: int, b_net: int, cin: int) -> tuple
     return s, cout
 
 
-def gen_pg(b: NetlistBuilder, a_nets, b_nets) -> PGBundle:
-    """Generate/propagate pairs, one AND2 and one XOR2 per bit."""
-    if len(a_nets) != len(b_nets):
-        raise InvalidBlockWidth("a and b slices must have equal length")
+def _pg(b: NetlistBuilder, a_nets, b_nets) -> tuple[list[int], list[int]]:
+    """Generate and propagate nets (g, p), one AND2 and one XOR2 per bit."""
     gs: list[int] = []
     ps: list[int] = []
     for an, bn in zip(a_nets, b_nets):
         gs.append(b.add_gate(CellKind.AND2, [an, bn]))
         ps.append(b.add_gate(CellKind.XOR2, [an, bn]))
-    return PGBundle(g=tuple(gs), p=tuple(ps))
+    return gs, ps
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +140,14 @@ _AND_KINDS = {k.arity: k for k in CellKind if k.primitive == "and"}
 _OR_KINDS = {k.arity: k for k in CellKind if k.primitive == "or"}
 
 
-def _carry_cone(b: NetlistBuilder, pg: PGBundle, c0: int, k: int) -> int:
-    """Emit the two-level cone for the carry into bit k and return its net."""
+def _carry_cone(b: NetlistBuilder, g: list[int], p: list[int], c0: int, k: int) -> int:
+    """Emit the two-level cone for the carry into bit k (sharing only pg nets); return its net."""
 
     def net_of(lit: Literal) -> int:
         if lit[0] == "g":
-            return pg.g[lit[1]]
+            return g[lit[1]]
         if lit[0] == "p":
-            return pg.p[lit[1]]
+            return p[lit[1]]
         return c0
 
     term_nets: list[int] = []
@@ -164,32 +155,6 @@ def _carry_cone(b: NetlistBuilder, pg: PGBundle, c0: int, k: int) -> int:
         nets = [net_of(lit) for lit in term]
         term_nets.append(_reduce_tree(b, nets, _AND_KINDS))
     return _reduce_tree(b, term_nets, _OR_KINDS)
-
-
-def gen_cclg(b: NetlistBuilder, pg: PGBundle, c0: int) -> list[int]:
-    """Conventional lookahead generator: every carry c1..cm, flattened.
-
-    Each carry gets its own independent two-level cone (no sharing
-    between cones beyond the pg nets themselves), mirroring the fully
-    expanded written form.
-    """
-    m = len(pg.g)
-    if m < 1:
-        raise InvalidBlockWidth("lookahead generator needs at least one bit")
-    return [_carry_cone(b, pg, c0, k) for k in range(1, m + 1)]
-
-
-def gen_scclg(b: NetlistBuilder, pg: PGBundle, c0: int) -> int:
-    """Section-carry generator: only the final carry cm, flattened.
-
-    Identical cone to gen_cclg's last carry; the intermediate carry
-    cones are simply never built, which is where the section-carry
-    design saves logic.
-    """
-    m = len(pg.g)
-    if m < 1:
-        raise InvalidBlockWidth("lookahead generator needs at least one bit")
-    return _carry_cone(b, pg, c0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +188,12 @@ def gen_ccla_block(b: NetlistBuilder, a_nets, b_nets, cin: int) -> BlockNets:
     lookahead carries are reported.
     """
     m = _check_block(a_nets, b_nets, BlockKind.CCLA)
-    pg = gen_pg(b, a_nets, b_nets)
-    carries = gen_cclg(b, pg, cin)
+    g, p = _pg(b, a_nets, b_nets)
+    carries = [_carry_cone(b, g, p, cin, k) for k in range(1, m + 1)]
     sums: list[int] = []
     for i in range(m):
         c_i = cin if i == 0 else carries[i - 1]
-        sums.append(b.add_gate(CellKind.XOR2, [pg.p[i], c_i]))
+        sums.append(b.add_gate(CellKind.XOR2, [p[i], c_i]))
     exposed = tuple((k, carries[k - 1]) for k in range(1, m + 1))
     return BlockNets(sums=tuple(sums), cout=carries[-1], carries=exposed)
 
@@ -245,15 +210,15 @@ def gen_scbcla_block(b: NetlistBuilder, a_nets, b_nets, cin: int) -> BlockNets:
     lookahead carry.
     """
     m = _check_block(a_nets, b_nets, BlockKind.SCBCLA)
-    pg = gen_pg(b, a_nets, b_nets)
-    section_carry = gen_scclg(b, pg, cin)
+    g, p = _pg(b, a_nets, b_nets)
+    section_carry = _carry_cone(b, g, p, cin, m)
     sums: list[int] = []
     ripple = cin
     for i in range(m - 1):
-        sums.append(b.add_gate(CellKind.XOR2, [pg.p[i], ripple]))
-        t = b.add_gate(CellKind.AND2, [pg.p[i], ripple])
-        ripple = b.add_gate(CellKind.OR2, [pg.g[i], t])
-    sums.append(b.add_gate(CellKind.XOR2, [pg.p[m - 1], ripple]))
+        sums.append(b.add_gate(CellKind.XOR2, [p[i], ripple]))
+        t = b.add_gate(CellKind.AND2, [p[i], ripple])
+        ripple = b.add_gate(CellKind.OR2, [g[i], t])
+    sums.append(b.add_gate(CellKind.XOR2, [p[m - 1], ripple]))
     return BlockNets(sums=tuple(sums), cout=section_carry, carries=((m, section_carry),))
 
 
@@ -269,10 +234,53 @@ _GENERATORS = {
 # ---------------------------------------------------------------------------
 
 
-# (kind, m) -> (spans, reads, sums, cout, carries) of that generator on a width-m builder:
-# its gates as ``flatten`` gives them, then its outputs, all in local net ids. Filled on
-# first use, not at import; two racing fills store equal tuples.
-_TEMPLATES: dict[tuple[BlockKind, int], tuple] = {}
+PG, CONE, RIPPLE, SUM = range(4)  # the region tags of template gates
+
+
+class Template(NamedTuple):
+    """A width-m section as ``compose`` places it: its gates as ``flatten`` gives them,
+    its outputs in local net ids (input i is id i, gate j drives id 2m+1+j), and
+    ``regions``, a tag per gate: PG if it reads only a/b inputs, else SUM if it
+    drives a sum, else CONE if a lookahead carry depends on it, else RIPPLE."""
+
+    spans: tuple[tuple[CellKind, int, int], ...]
+    reads: tuple[int, ...]
+    sums: tuple[int, ...]
+    cout: int
+    carries: tuple[tuple[int, int], ...]
+    regions: tuple[int, ...]
+
+
+def _regions(m: int, spans, reads, out: BlockNets) -> tuple[int, ...]:
+    """A template's ``regions``, read off its wiring, not set by its generator."""
+    gates = list(enumerate(spans, 2 * m + 1))  # (net id, span) per gate, in order
+    cone, sums = {nid for _, nid in out.carries}, set(out.sums)
+    for nid, (_, at, stop) in reversed(gates):  # walk the carries' fan-in back
+        if nid in cone:
+            cone.update(reads[at:stop])
+    return tuple(
+        PG if max(reads[at:stop]) < 2 * m
+        else SUM if nid in sums
+        else CONE if nid in cone
+        else RIPPLE
+        for nid, (_, at, stop) in gates
+    )
+
+
+# (kind, m) -> its Template, filled by ``template`` on first use; racing fills store equal records
+_TEMPLATES: dict[tuple[BlockKind, int], Template] = {}
+
+
+def template(kind: BlockKind, m: int) -> Template:
+    """The cached template of a width-m section of ``kind``."""
+    t = _TEMPLATES.get((kind, m))
+    if t is None:
+        b = NetlistBuilder(m)
+        r = _GENERATORS[kind](b, b.a, b.b, b.cin)
+        spans, reads = flatten(b.gates)
+        t = Template(spans, reads, r.sums, r.cout, r.carries, _regions(m, spans, reads, r))
+        _TEMPLATES[kind, m] = t
+    return t
 
 
 def compose(spec: ArchitectureSpec | str) -> Netlist:
@@ -295,12 +303,8 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
     carry, lo = b.cin, 0
     for blk in spec.blocks:
         copies, m = (blk.width, 1) if blk.kind is BlockKind.RCA else (1, blk.width)
-        template = _TEMPLATES.get((blk.kind, m))
-        if template is None:
-            t = NetlistBuilder(m)
-            r = _GENERATORS[blk.kind](t, t.a, t.b, t.cin)
-            template = _TEMPLATES[blk.kind, m] = (*flatten(t.gates), r.sums, r.cout, r.carries)
-        spans, reads, local_sums, cout, carries = template
+        t = template(blk.kind, m)
+        spans, reads, local_sums, cout, carries = t.spans, t.reads, t.sums, t.cout, t.carries
         for _ in range(copies):
             ids = b.place(spans, reads, b.a[lo : lo + m] + b.b[lo : lo + m] + (carry,))
             sums += [ids[nid] for nid in local_sums]

@@ -20,11 +20,8 @@ from adderlab import (
     compose,
     evaluate,
     gen_ccla_block,
-    gen_cclg,
-    gen_pg,
     gen_rca_block,
     gen_scbcla_block,
-    gen_scclg,
     NetlistBuilder,
     parse_arch_spec,
     preset,
@@ -36,7 +33,7 @@ from adderlab import (
 )
 from adderlab import generate
 from adderlab.errors import InvalidBlockWidth
-from adderlab.generate import PGBundle
+from adderlab.generate import CONE, PG, RIPPLE, SUM
 
 from conftest import random_arch_string
 
@@ -161,22 +158,33 @@ def test_section_carry_matches_ripple_recursion(m):
         assert (s, cout) == ref_add(m, a, b, cin)
 
 
-def test_scclg_is_smaller_than_cclg():
-    # generator cones only, shared PG excluded
-    frozen = {2: (5, 3), 3: (9, 4), 4: (16, 7), 5: (27, 11)}
-    for m, (full, section) in frozen.items():
-        b = NetlistBuilder(m)
-        pg = gen_pg(b, b.a, b.b)
-        base = b.gate_count
-        carries = gen_cclg(b, pg, b.cin)
-        assert len(carries) == m
-        assert b.gate_count - base == full
+# gates tagged CONE in the (ccla, scbcla) templates of each width, as
+# scripts/block_survey.py printed them when cones were still rebuilt on a
+# fresh builder: the carry generator alone, the shared pg stage excluded
+CONE_GATES = {
+    2: (5, 3), 3: (9, 4), 4: (16, 7), 5: (27, 11), 6: (41, 14), 7: (58, 17),
+    8: (78, 20), 9: (103, 25), 10: (132, 29), 11: (165, 33), 12: (202, 37),
+}
 
-        b2 = NetlistBuilder(m)
-        pg2 = gen_pg(b2, b2.a, b2.b)
-        base2 = b2.gate_count
-        gen_scclg(b2, pg2, b2.cin)
-        assert b2.gate_count - base2 == section
+
+def test_full_adder_template_regions(monkeypatch):
+    monkeypatch.setattr(generate, "_TEMPLATES", {})
+    # p, sum, g, t, cout in emission order
+    assert generate.template(BlockKind.RCA, 1).regions == (PG, SUM, PG, RIPPLE, RIPPLE)
+
+
+@pytest.mark.parametrize("m", sorted(CONE_GATES))
+def test_lookahead_template_regions(m, monkeypatch):
+    monkeypatch.setattr(generate, "_TEMPLATES", {})
+    cones = []
+    for kind, ripple in ((BlockKind.CCLA, 0), (BlockKind.SCBCLA, 2 * (m - 1))):
+        t = generate.template(kind, m)
+        regions = t.regions
+        assert len(regions) == len(t.spans)
+        counts = [regions.count(tag) for tag in (PG, SUM, RIPPLE)]
+        assert counts == [2 * m, m, ripple], kind
+        cones.append(regions.count(CONE))
+    assert tuple(cones) == CONE_GATES[m]
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +210,13 @@ def test_lookahead_blocks_reject_width_one():
         b = NetlistBuilder(1)
         with pytest.raises(InvalidBlockWidth):
             gen(b, b.a, b.b, b.cin)
-    for gen in (gen_cclg, gen_scclg):
-        b = NetlistBuilder(1)
-        with pytest.raises(InvalidBlockWidth, match="needs at least one bit"):
-            gen(b, PGBundle(g=(), p=()), b.cin)
-        assert b.gate_count == 0
 
 
 def test_generators_reject_unequal_slices_and_carry_index_zero():
-    for gen in (gen_pg, lambda b, x, y: gen_rca_block(b, x, y, b.cin)):
-        b = NetlistBuilder(2)
-        with pytest.raises(InvalidBlockWidth, match="^a and b slices must have equal length$"):
-            gen(b, b.a, b.b[:1])
-        assert b.gate_count == 0
+    b = NetlistBuilder(2)
+    with pytest.raises(InvalidBlockWidth, match="^a and b slices must have equal length$"):
+        gen_rca_block(b, b.a, b.b[:1], b.cin)
+    assert b.gate_count == 0
     with pytest.raises(ValueError, match="^carry index must be >= 1$"):
         carry_terms(0)
 
