@@ -1,7 +1,8 @@
 """Area, delay, power and figure-of-merit analysis.
 
 All three metrics come from the netlist plus a cell library; power
-additionally needs toggle statistics from a simulation run.
+additionally needs toggle counts from a simulation run and the interval
+between its vectors.
 
 area   = sum of gate areas (wires are free).
 delay  = longest path, where each gate contributes
@@ -9,9 +10,10 @@ delay  = longest path, where each gate contributes
          is the sum of the input pin capacitances the gate drives plus
          the library's output load when it drives a primary output.
 power  = switching + leakage, in microwatts:
-         sum over nets of 0.5 * C_net * vdd^2 * toggles / total_time,
-         plus the summed gate leakage. C_net counts sink pins the same
-         way the delay model does.
+         sum over nets of 0.5 * C_net * vdd^2 * toggles / T, plus the
+         summed gate leakage, where T = (vectors - 1) * interval_ns is
+         the time the applied vectors span. C_net counts sink pins the
+         same way the delay model does.
 fom    = 1e6 / (power * delay * area); bigger is better. The scale
          factor just keeps typical values in a readable range.
 """
@@ -109,21 +111,23 @@ def _longest_path(
 
 
 def power_components(
-    nl: Netlist, lib: CellLibrary, stats: ToggleStats
+    nl: Netlist, lib: CellLibrary, stats: ToggleStats, interval_ns: float = 5.0
 ) -> tuple[float, float]:
-    """(switching, leakage) in microwatts."""
+    """(switching, leakage) in microwatts, vectors ``interval_ns`` apart."""
     cells, caps = _loads(nl, lib)
-    return _switching(caps, lib, stats), _leakage(cells)
+    return _switching(caps, lib, stats, interval_ns), _leakage(cells)
 
 
-def _switching(caps: list[float], lib: CellLibrary, stats: ToggleStats) -> float:
+def _switching(
+    caps: list[float], lib: CellLibrary, stats: ToggleStats, interval_ns: float
+) -> float:
     """Switching power in microwatts of nets with loads ``caps``, added net by net;
     InvalidMetric unless ``stats`` covers those nets over a finite positive time."""
     if len(stats.per_net_toggles) != len(caps):
         raise InvalidMetric(
             f"toggle stats cover {len(stats.per_net_toggles)} nets, netlist has {len(caps)}"
         )
-    t_total = stats.total_time_ns
+    t_total = (stats.vectors_applied - 1) * interval_ns
     if not 0 < t_total < math.inf:
         raise InvalidMetric(f"toggle stats must span a finite positive time, got {t_total} ns")
     vdd_sq = lib.vdd_v * lib.vdd_v
@@ -140,9 +144,9 @@ def _leakage(cells: list[CellModel]) -> float:
     return sum([cell.leakage_nw for cell in cells]) * 1e-3
 
 
-def power(nl: Netlist, lib: CellLibrary, stats: ToggleStats) -> float:
+def power(nl: Netlist, lib: CellLibrary, stats: ToggleStats, interval_ns: float = 5.0) -> float:
     """Total power in microwatts."""
-    switching, leakage = power_components(nl, lib, stats)
+    switching, leakage = power_components(nl, lib, stats, interval_ns)
     return switching + leakage
 
 
@@ -209,9 +213,9 @@ def _analyze(
     spec = coerce_arch(spec)
     lib = lib or default_library()
     nl = compose(spec)
-    stats = run_vectors(nl, vectors, seed, interval_ns)
+    stats = run_vectors(nl, vectors, seed)
     cells, caps = _loads(nl, lib)
-    p = _switching(caps, lib, stats) + _leakage(cells)
+    p = _switching(caps, lib, stats, interval_ns) + _leakage(cells)
     d, path = _longest_path(nl, cells, caps)
     a = sum([cell.area_um2 for cell in cells])
     report = AnalysisReport(

@@ -162,10 +162,6 @@ class NetlistBuilder:
     def gates(self) -> tuple[Gate, ...]:
         return tuple(self._gates)
 
-    @property
-    def gate_count(self) -> int:
-        return len(self._gates)
-
     def add_gate(self, kind: CellKind, inputs: list[int] | tuple[int, ...]) -> int:
         """Append a gate reading ``inputs``, return its fresh output net id."""
         n = len(inputs)

@@ -1,10 +1,7 @@
 """Vector simulation, toggle collection and oracle verification.
 
 Evaluation is zero-delay: each applied vector settles completely before
-the next one, so a net toggles at most once per vector boundary. Toggle
-counts divided by the total applied time (vectors - 1 boundaries at a
-fixed interval) feed the switching-power model in
-:mod:`adderlab.analyze`.
+the next one, so a net toggles at most once per vector boundary.
 
 Random stimulus comes from a fixed 64-bit shift/multiply generator
 (splitmix64) so that identical seeds produce identical vector streams
@@ -51,7 +48,7 @@ _M64 = (1 << 64) - 1
 
 def prng_word(seed: int, index: int) -> int:
     """The index-th raw 64-bit word of the stream (index starts at 1)."""
-    z = (seed + index * GOLDEN_GAMMA) & _M64
+    z = (operator.index(seed) + operator.index(index) * GOLDEN_GAMMA) & _M64
     z = ((z ^ (z >> 30)) * MIX_MUL_1) & _M64
     z = ((z ^ (z >> 27)) * MIX_MUL_2) & _M64
     return z ^ (z >> 31)
@@ -80,23 +77,26 @@ def _stream_rows(width: int, start: int, count: int, seed: int) -> np.ndarray:
 
 
 # the last stream of at most _BATCH vectors random_vectors decoded:
-# ((width, count, seed, type(seed)), its vectors)
-_decoded: tuple[tuple, tuple[InputVector, ...]] = ((0, 0, 0, int), ())
+# ((width, count, seed), its vectors)
+_decoded: tuple[tuple[int, int, int], tuple[InputVector, ...]] = ((0, 0, 0), ())
 
 
 def random_vectors(width: int, count: int, seed: int) -> list[InputVector]:
     """The first ``count`` vectors of the documented stream for this width.
 
+    The arguments are taken through ``operator.index``, so numpy integers
+    give the stream of the equal ``int`` and a float raises ``TypeError``.
     The last stream of at most ``_BATCH`` vectors stays decoded, so designs
     ranked on one stream share its vectors; each call returns a new list of
     them, and ``_vector_batches`` knows that list by its objects.
     """
     global _decoded
+    width, count, seed = map(operator.index, (width, count, seed))
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
     if count < 0:
         raise InsufficientVectors(f"vector count must be >= 0, got {count}")
-    key = (width, count, seed, type(seed))
+    key = (width, count, seed)
     if key == _decoded[0]:
         return list(_decoded[1])
     rows = _stream_rows(width, 0, count, seed)
@@ -212,7 +212,7 @@ def _expected(width: int, cols: Sequence[int]) -> tuple[int, ...]:
     return tuple(want)
 
 
-@functools.lru_cache(maxsize=2, typed=True)
+@functools.lru_cache(maxsize=2)
 def _stream_columns(
     width: int, start: int, count: int, seed: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -221,8 +221,7 @@ def _stream_columns(
 
     They depend on no netlist, so checks of several designs on one stream
     share them. Two entries cover a stream of up to 2 * ``_BATCH`` vectors
-    and hold at most 2 * (3*width + 2) * 8 KiB. ``typed`` keeps ``seed=1.0``
-    from hitting the entry of ``seed=1``; a miss raises as the stream does.
+    and hold at most 2 * (3*width + 2) * 8 KiB.
     """
     cols = tuple(_pack(width, _stream_rows(width, start, count, seed)))
     return cols, _expected(width, cols)
@@ -269,7 +268,7 @@ def _vector_batches(nl: Netlist, vectors: list[InputVector]):
     operand: ``1.0 == 1``, but a float operand must still raise.
     """
     topo_order(nl)
-    (width, count, seed, _), stream = _decoded
+    (width, count, seed), stream = _decoded
     if width == nl.width and 0 < len(vectors) == count and all(map(operator.is_, vectors, stream)):
         yield count, _eval_packed(nl, _stream_columns(width, 0, count, seed)[0], count)
         return
@@ -299,16 +298,9 @@ class ToggleStats:
 
     per_net_toggles: tuple[int, ...]
     vectors_applied: int
-    interval_ns: float
-
-    @property
-    def total_time_ns(self) -> float:
-        return (self.vectors_applied - 1) * self.interval_ns
 
 
-def collect_toggles(
-    nl: Netlist, vectors: list[InputVector], interval_ns: float = 5.0
-) -> ToggleStats:
+def collect_toggles(nl: Netlist, vectors: list[InputVector]) -> ToggleStats:
     """Count settled-value transitions per net across the given stream."""
     if len(vectors) < 2:
         raise InsufficientVectors(f"need at least 2 vectors, got {len(vectors)}")
@@ -323,18 +315,14 @@ def collect_toggles(
                 for t, col, last in zip(toggles, values, prev)
             ]
         prev, top = values, n - 1
-    return ToggleStats(
-        per_net_toggles=tuple(toggles),
-        vectors_applied=len(vectors),
-        interval_ns=interval_ns,
-    )
+    return ToggleStats(per_net_toggles=tuple(toggles), vectors_applied=len(vectors))
 
 
-def run_vectors(
-    nl: Netlist, count: int = 1024, seed: int = 1, interval_ns: float = 5.0
-) -> ToggleStats:
+def run_vectors(nl: Netlist, count: int = 1024, seed: int = 1) -> ToggleStats:
     """Apply ``count`` seeded random vectors and collect toggle counts."""
-    return collect_toggles(nl, random_vectors(nl.width, count, seed), interval_ns)
+    if nl.width < 1:
+        topo_order(nl)  # the netlist's error, not the stream's
+    return collect_toggles(nl, random_vectors(nl.width, count, seed))
 
 
 def dump_trace(nl: Netlist, vectors: list[InputVector], fh) -> None:
@@ -410,6 +398,7 @@ def verify_random(nl: Netlist, count: int = 100000, seed: int = 1) -> Counterexa
     Returns None when every vector matches, otherwise the first
     counterexample in stream order.
     """
+    count, seed = operator.index(count), operator.index(seed)
     if count < 1:
         raise InsufficientVectors(f"need at least 1 vector, got {count}")
     topo_order(nl)

@@ -220,7 +220,7 @@ def _two_inverters():
 def test_power_worked_example():
     # one 1.0 fF net toggling 10 times across 11 vectors at 5 ns spacing
     nl = _two_inverters()
-    stats = ToggleStats((10, 0, 0, 0, 0), vectors_applied=11, interval_ns=5.0)
+    stats = ToggleStats((10, 0, 0, 0, 0), vectors_applied=11)
     switching, leakage = power_components(nl, LIB, stats)
     assert switching == pytest.approx(0.5 * 1.0 * 1.05**2 * 10 / 50.0)
     assert switching == pytest.approx(0.11025)
@@ -230,29 +230,39 @@ def test_power_worked_example():
 
 def test_power_scales_linearly_with_toggles():
     nl = _two_inverters()
-    one = power_components(nl, LIB, ToggleStats((10, 0, 0, 0, 0), 11, 5.0))[0]
-    two = power_components(nl, LIB, ToggleStats((20, 0, 0, 0, 0), 11, 5.0))[0]
+    one = power_components(nl, LIB, ToggleStats((10, 0, 0, 0, 0), 11))[0]
+    two = power_components(nl, LIB, ToggleStats((20, 0, 0, 0, 0), 11))[0]
     assert two == pytest.approx(2 * one)
+
+
+def test_switching_power_spans_intervals_between_vectors():
+    # 11 vectors span 10 intervals: 25 ns at 2.5 ns apart, 50 ns at the 5 ns default
+    nl = _two_inverters()
+    stats = ToggleStats((10, 0, 0, 0, 0), 11)
+    fast = power_components(nl, LIB, stats, interval_ns=2.5)
+    assert fast[0] == pytest.approx(2 * power_components(nl, LIB, stats)[0])
+    assert fast[0] == pytest.approx(0.5 * 1.0 * 1.05**2 * 10 / 25.0)
+    assert fast[1] == power_components(nl, LIB, stats, 5.0)[1]
 
 
 def test_quiet_netlist_burns_only_leakage():
     nl = _two_inverters()
-    stats = ToggleStats((0, 0, 0, 0, 0), 11, 5.0)
+    stats = ToggleStats((0, 0, 0, 0, 0), 11)
     assert power(nl, LIB, stats) == pytest.approx(0.002)
 
 
 def test_power_rejects_mismatched_stats():
     nl = _two_inverters()
     with pytest.raises(InvalidMetric):
-        power(nl, LIB, ToggleStats((0, 0), 11, 5.0))
+        power(nl, LIB, ToggleStats((0, 0), 11))
 
 
 def test_power_rejects_degenerate_time_base():
     nl = _two_inverters()
     with pytest.raises(InvalidMetric):
-        power(nl, LIB, ToggleStats((0, 0, 0, 0, 0), 1, 5.0))
+        power(nl, LIB, ToggleStats((0, 0, 0, 0, 0), 1))
     with pytest.raises(InvalidMetric):
-        power(nl, LIB, ToggleStats((0, 0, 0, 0, 0), 11, 0.0))
+        power(nl, LIB, ToggleStats((0, 0, 0, 0, 0), 11), interval_ns=0.0)
 
 
 def test_simulated_power_exceeds_leakage_floor():
@@ -416,12 +426,23 @@ def test_report_json_schema():
     assert report_json(report).endswith("\n")
 
 
-def test_report_json_bytes_of_every_preset_are_pinned():
+def _presets_digest(**kwargs):
+    """SHA-256 over ``report_json`` of every preset, 256 vectors of seed 3."""
     digest = hashlib.sha256()
     for name in sorted(PRESETS):
-        report = analyze_design(name, PRESETS[name], vectors=256, seed=3)
+        report = analyze_design(name, PRESETS[name], vectors=256, seed=3, **kwargs)
         digest.update(report_json(report).encode())
-    assert digest.hexdigest() == "357ebc2be5780822c2f706afc25a672c77c448685ed2b6544277618ab4247c75"
+    return digest.hexdigest()
+
+
+def test_report_json_bytes_of_every_preset_are_pinned():
+    assert _presets_digest() == "357ebc2be5780822c2f706afc25a672c77c448685ed2b6544277618ab4247c75"
+
+
+def test_report_json_bytes_at_another_interval_are_pinned():
+    # the interval reaches only the switching time base
+    want = "960112965a7a8fb95d545089da3a9ca0f7a35f7b21971ae7b54a0b4f61a97f17"
+    assert _presets_digest(interval_ns=2.5) == want
 
 
 def test_metrics_report_marks_external_rows():

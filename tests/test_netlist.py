@@ -49,7 +49,7 @@ def test_builder_preallocates_primary_inputs():
     names = [f"a[{i}]" for i in range(3)] + [f"b[{i}]" for i in range(3)] + ["cin"]
     assert compose("rca:3").nets[: b.cin + 1] == tuple(names)  # finish names them by id
     assert b.a == (0, 1, 2) and b.b == (3, 4, 5) and b.cin == 6
-    assert b.gate_count == 0
+    assert len(b.gates) == 0
 
 
 @pytest.mark.parametrize("bad", [0, -4, "8", 2.0, None])
@@ -63,7 +63,7 @@ def test_add_gate_assigns_sequential_ids_and_fresh_nets():
     n0 = b.add_gate(CellKind.AND2, [b.a[0], b.b[0]])
     n1 = b.add_gate(CellKind.INV, [n0])
     assert (n0, n1) == (3, 4)
-    assert b.gate_count == 2
+    assert len(b.gates) == 2
     assert b._gates[1] == Gate(CellKind.INV, (3,))
 
 
@@ -419,7 +419,7 @@ def test_validate_reports_a_gate_list_out_of_dependency_order():
 
 def _stats(nl):
     """Toggle stats that fit ``nl``, so only the netlist can be refused."""
-    return ToggleStats((1,) * len(nl.nets), 2, 5.0)
+    return ToggleStats((1,) * len(nl.nets), 2)
 
 
 _GUARDED = {
@@ -521,7 +521,8 @@ def test_validate_refuses_a_width_below_one():
     # "width 0" is no header from_text reads, so validate stops at the width
     nl = Netlist(0, ("cin", "cout"), (Gate(CellKind.INV, (0,)),), sums=(), cout=1)
     assert validate(nl) == [Violation("Width", "0 is below 1")]
-    assert _refused(topo_order, nl) == validate(nl)
+    for name, entry in _GUARDED.items():
+        assert _refused(entry, nl) == validate(nl), name
     with pytest.raises(InvalidNetlist, match=r"^Width\(0 is below 1\)$"):
         to_text(nl)
 
