@@ -18,6 +18,7 @@ threads.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -152,10 +153,10 @@ class NetlistBuilder:
     """
 
     def __init__(self, width: int):
-        if not isinstance(width, int) or width < 1:
+        if not isinstance(width, numbers.Integral) or width < 1:
             raise InvalidWidth(f"adder width must be a positive integer, got {width!r}")
-        self.width = width
-        self.a, self.b, self.cin = input_layout(width)
+        self.width = int(width)
+        self.a, self.b, self.cin = input_layout(self.width)
         self._gates: list[Gate] = []
 
     @property

@@ -20,9 +20,9 @@ into a (width bits), then b (width bits), then cin (1 bit).
 Input rows (from the stream, from caller vectors, or every input
 combination) are packed ``_BATCH`` at a time into one Python integer per
 primary input net, bit r holding row r, so a gate evaluation is a single
-wide bitwise operation. Checks compare against the expected sum and cout
-columns of a bit-parallel ripple-carry oracle over the same columns and
-report the lowest bad row.
+wide bitwise operation. Random and exhaustive checks feed their batches,
+in row order, to one walk that compares the sum and cout nets with a
+bit-parallel ripple-carry oracle's columns and reports the lowest bad row.
 """
 
 from __future__ import annotations
@@ -365,16 +365,20 @@ class Counterexample:
         )
 
 
-def _first_mismatch(
-    nl: Netlist, cols: Sequence[int], nrows: int, want: Sequence[int]
-) -> Counterexample | None:
-    """Evaluate packed input columns; the lowest row whose sum and cout nets
-    differ from ``want``, the columns ``_expected`` gives for ``cols``."""
-    values = _eval_packed(nl, cols, nrows)
-    diff = 0
-    for nid, col in zip((*nl.sums, nl.cout), want):
-        diff |= values[nid] ^ col
-    if diff == 0:
+def _first_mismatch(nl: Netlist, batches) -> Counterexample | None:
+    """Evaluate (rows, packed input columns, ``_expected`` columns) batches
+    in row order, after ``topo_order``; the lowest row whose sum and cout
+    nets differ from the expected columns, or None."""
+    topo_order(nl)
+    for nrows, cols, want in batches:
+        values = _eval_packed(nl, cols, nrows)
+        diff = 0
+        for nid, col in zip((*nl.sums, nl.cout), want):
+            diff |= values[nid] ^ col
+        if diff:
+            break
+        del values  # so one batch's net values are alive at a time
+    else:
         return None
     r = (diff & -diff).bit_length() - 1
 
@@ -401,14 +405,8 @@ def verify_random(nl: Netlist, count: int = 100000, seed: int = 1) -> Counterexa
     count, seed = operator.index(count), operator.index(seed)
     if count < 1:
         raise InsufficientVectors(f"need at least 1 vector, got {count}")
-    topo_order(nl)
-    for at in range(0, count, _BATCH):
-        n = min(_BATCH, count - at)
-        cols, want = _stream_columns(nl.width, at, n, seed)
-        bad = _first_mismatch(nl, cols, n, want)
-        if bad is not None:
-            return bad
-    return None
+    sizes = ((at, min(_BATCH, count - at)) for at in range(0, count, _BATCH))
+    return _first_mismatch(nl, ((n, *_stream_columns(nl.width, at, n, seed)) for at, n in sizes))
 
 
 _EXHAUSTIVE_LIMIT = 12
@@ -445,15 +443,15 @@ def verify_exhaustive_netlist(nl: Netlist) -> Counterexample | None:
         raise InvalidWidth(
             f"exhaustive verification is limited to {_EXHAUSTIVE_LIMIT} bits, got {w}"
         )
-    top = _BATCH.bit_length() - 1
-    start, low = 0, min(nl.offset, 10, top)
-    topo_order(nl)
-    while start < 1 << nl.offset:
-        *cols, ones = _patterns(low)
-        cols += [ones if (start >> j) & 1 else 0 for j in range(low, nl.offset)]
-        bad = _first_mismatch(nl, cols, 1 << low, _expected(w, cols))
-        if bad is not None:
-            return bad
-        start += 1 << low
-        low = min(start.bit_length() - 1, top)
-    return None
+
+    def chunks():
+        top = _BATCH.bit_length() - 1
+        start, low = 0, min(nl.offset, 10, top)
+        while start < 1 << nl.offset:
+            *cols, ones = _patterns(low)
+            cols += [ones if (start >> j) & 1 else 0 for j in range(low, nl.offset)]
+            yield 1 << low, cols, _expected(w, cols)
+            start += 1 << low
+            low = min(start.bit_length() - 1, top)
+
+    return _first_mismatch(nl, chunks())

@@ -4,11 +4,13 @@ import dataclasses
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adderlab import (
     PRESETS,
+    BlockKind,
     CellKind,
     Gate,
     InputVector,
@@ -33,6 +35,7 @@ from adderlab import (
     verify_exhaustive_netlist,
     verify_random,
 )
+from adderlab.arch import ArchitectureSpec, BlockSpec
 from adderlab.errors import (
     ArityMismatch,
     DanglingInput,
@@ -56,6 +59,20 @@ def test_builder_preallocates_primary_inputs():
 def test_width_must_be_positive_int(bad):
     with pytest.raises(InvalidWidth):
         NetlistBuilder(bad)
+
+
+@pytest.mark.parametrize("make", [np.int64, np.int32, np.uint16])
+def test_numpy_integer_widths_build_the_int_netlist(make):
+    # BlockSpec takes a numpy width as it is, so the builder must take its value
+    b = NetlistBuilder(make(4))
+    assert type(b.width) is int and b.width == 4 and type(b.cin) is int
+    with pytest.raises(InvalidWidth):
+        NetlistBuilder(np.float64(4))
+    for kind in BlockKind:
+        nl = compose(ArchitectureSpec((BlockSpec(kind, make(4)), BlockSpec(BlockKind.RCA, make(3)))))
+        same = compose(ArchitectureSpec((BlockSpec(kind, 4), BlockSpec(BlockKind.RCA, 3))))
+        assert nl == same and to_text(nl) == to_text(same)
+        assert all(type(nid) is int for g in nl.gates for nid in g.inputs)
 
 
 def test_add_gate_assigns_sequential_ids_and_fresh_nets():

@@ -598,7 +598,7 @@ def test_designs_ranked_on_one_stream_decode_and_pack_it_once(monkeypatch):
         monkeypatch.setattr(
             simulate, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
-    monkeypatch.setattr(simulate, "_decoded", ((0, 0, 0, int), ()))
+    monkeypatch.setattr(simulate, "_decoded", ((0, 0, 0), ()))
     simulate._stream_columns.cache_clear()
     lib = default_library()
     for name in ("design1", "design4", "design6", "rca32"):
@@ -781,6 +781,23 @@ def test_exhaustive_counterexample_past_the_first_batch():
     assert at == 1 and simulate._BATCH == 1 << 16
     assert verify_exhaustive_netlist(bad) == expected
     assert expected.vector == InputVector(1, 0, 1)
+
+
+def test_exhaustive_counterexample_many_full_chunks_in(monkeypatch):
+    # OR2 in place of a[11] ^ b[11] first fails where a[11] = b[11] = 1: row
+    # 0x800800, after the doubling chunks and 127 full ones
+    bad = from_text(to_text(compose("rca:12")).replace(" XOR2 a[11] b[11] ", " OR2 a[11] b[11] "))
+    at, expected = first_mismatch_scan(bad, _rows(12, 0x800800 - 2, 0x800800 + 2))
+    assert at == 2 and simulate._BATCH == 1 << 16
+    evaluated = []
+    real = simulate._eval_packed
+    monkeypatch.setattr(
+        simulate, "_eval_packed", lambda nl, cols, n: evaluated.append(n) or real(nl, cols, n)
+    )
+    ce = verify_exhaustive_netlist(bad)
+    assert ce == expected
+    assert str(ce) == "a=0x800 b=0x800 cin=0: expected sum=0x0 cout=1, got sum=0x800 cout=1"
+    assert evaluated == [1024] + [1024 << k for k in range(6)] + [1 << 16] * 128
 
 
 def test_verify_exhaustive_refuses_wide_netlists():
