@@ -34,6 +34,10 @@ from .generate import compose
 from .netlist import Netlist, topo_order
 from .simulate import ToggleStats, run_vectors
 
+# report_json's encoders: indent=2's layout from separators, so the C encoder (indent=None) runs
+_FIELDS = json.JSONEncoder(separators=(",\n  ", ": "))
+_STEPS = json.JSONEncoder(separators=(",\n    ", ": "))
+
 # ---------------------------------------------------------------------------
 # Raw metrics
 # ---------------------------------------------------------------------------
@@ -41,7 +45,7 @@ from .simulate import ToggleStats, run_vectors
 
 def area(nl: Netlist, lib: CellLibrary) -> float:
     """Total cell area in um^2."""
-    return sum(lib.cells[g.kind].area_um2 for g in nl.gates)
+    return sum([lib.cells[kind].area_um2 for kind in nl.kinds])
 
 
 def net_capacitance(nl: Netlist, lib: CellLibrary, nid: int) -> float:
@@ -56,11 +60,11 @@ def _loads(nl: Netlist, lib: CellLibrary) -> tuple[list[CellModel], list[float]]
     """The cell model of every gate and the load on every net, from one walk
     over the gates. Loads add pin by pin in gate order, then the output loads."""
     topo_order(nl)  # before the first read is indexed
-    cells = list(map(lib.cells.__getitem__, [g[0] for g in nl.gates]))
+    cells = list(map(lib.cells.__getitem__, nl.kinds))
     caps = [0.0] * len(nl.nets)
-    for cell, g in zip(cells, nl.gates):
+    for cell, ins in zip(cells, nl.inputs):
         per_pin = cell.input_cap_ff
-        for nid in g[1]:
+        for nid in ins:
             caps[nid] += per_pin
     for nid in nl.primary_outputs():
         caps[nid] += lib.output_load_ff
@@ -83,11 +87,11 @@ def _longest_path(
     off = nl.offset
     arrival = [0.0] * len(nl.nets)
     pred: list[int] = []
-    for gid, (cell, g, load) in enumerate(zip(cells, nl.gates, caps[off:])):
+    for gid, (cell, ins, load) in enumerate(zip(cells, nl.inputs, caps[off:])):
         delay = cell.intrinsic_delay_ns + cell.load_delay_ns_per_ff * load
         best_t = -1.0
         best_pred = -1
-        for nid in g[1]:
+        for nid in ins:
             t = arrival[nid]
             p = nid - off  # negative for a primary input
             if t > best_t or (t == best_t and p < best_pred):
@@ -184,7 +188,9 @@ class AnalysisReport:
 def report_json(report: AnalysisReport) -> str:
     # not asdict, which deep-copies critical_path element by element
     doc = {f.name: getattr(report, f.name) for f in fields(report)}
-    return json.dumps(doc, indent=2) + "\n"
+    path = doc.pop("critical_path")
+    steps = f"[\n    {_STEPS.encode(path)[1:-1]}\n  ]" if path else "[]"
+    return f'{{\n  {_FIELDS.encode(doc)[1:-1]},\n  "critical_path": {steps}\n}}\n'
 
 
 def analyze_design(
@@ -221,7 +227,7 @@ def _analyze(
     report = AnalysisReport(
         design=design,
         arch=spec.to_string(),
-        gates=len(nl.gates),
+        gates=len(nl.kinds),
         power_uw=p,
         delay_ns=d,
         area_um2=a,

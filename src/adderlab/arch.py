@@ -15,6 +15,7 @@ block may be a single bit.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,10 @@ class BlockSpec:
     width: int
 
     def __post_init__(self):
+        try:  # stored as a plain int, so a numpy width cannot overflow a sum
+            object.__setattr__(self, "width", operator.index(self.width))
+        except TypeError:
+            raise InvalidBlockWidth(f"block width must be an integer, got {self.width!r}") from None
         least = _MIN_WIDTH[self.kind]
         if self.width < least:
             raise InvalidBlockWidth(

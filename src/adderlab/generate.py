@@ -243,7 +243,8 @@ class Template(NamedTuple):
     ``regions``, a tag per gate: PG if it reads only a/b inputs, else SUM if it
     drives a sum, else CONE if a lookahead carry depends on it, else RIPPLE."""
 
-    spans: tuple[tuple[CellKind, int, int], ...]
+    kinds: tuple[CellKind, ...]
+    spans: tuple[tuple[int, int], ...]
     reads: tuple[int, ...]
     sums: tuple[int, ...]
     cout: int
@@ -251,19 +252,19 @@ class Template(NamedTuple):
     regions: tuple[int, ...]
 
 
-def _regions(m: int, spans, reads, out: BlockNets) -> tuple[int, ...]:
+def _regions(m: int, inputs, out: BlockNets) -> tuple[int, ...]:
     """A template's ``regions``, read off its wiring, not set by its generator."""
-    gates = list(enumerate(spans, 2 * m + 1))  # (net id, span) per gate, in order
+    gates = list(enumerate(inputs, 2 * m + 1))  # (net id, input ids) per gate, in order
     cone, sums = {nid for _, nid in out.carries}, set(out.sums)
-    for nid, (_, at, stop) in reversed(gates):  # walk the carries' fan-in back
+    for nid, ins in reversed(gates):  # walk the carries' fan-in back
         if nid in cone:
-            cone.update(reads[at:stop])
+            cone.update(ins)
     return tuple(
-        PG if max(reads[at:stop]) < 2 * m
+        PG if max(ins) < 2 * m
         else SUM if nid in sums
         else CONE if nid in cone
         else RIPPLE
-        for nid, (_, at, stop) in gates
+        for nid, ins in gates
     )
 
 
@@ -277,8 +278,7 @@ def template(kind: BlockKind, m: int) -> Template:
     if t is None:
         b = NetlistBuilder(m)
         r = _GENERATORS[kind](b, b.a, b.b, b.cin)
-        spans, reads = flatten(b.gates)
-        t = Template(spans, reads, r.sums, r.cout, r.carries, _regions(m, spans, reads, r))
+        t = Template(*flatten(b.gates), r.sums, r.cout, r.carries, _regions(m, b.inputs, r))
         _TEMPLATES[kind, m] = t
     return t
 
@@ -304,9 +304,9 @@ def compose(spec: ArchitectureSpec | str) -> Netlist:
     for blk in spec.blocks:
         copies, m = (blk.width, 1) if blk.kind is BlockKind.RCA else (1, blk.width)
         t = template(blk.kind, m)
-        spans, reads, local_sums, cout, carries = t.spans, t.reads, t.sums, t.cout, t.carries
+        kinds, spans, reads, local_sums, cout, carries, _ = t
         for _ in range(copies):
-            ids = b.place(spans, reads, b.a[lo : lo + m] + b.b[lo : lo + m] + (carry,))
+            ids = b.place(kinds, spans, reads, b.a[lo : lo + m] + b.b[lo : lo + m] + (carry,))
             sums += [ids[nid] for nid in local_sums]
             exposed += [(lo + k, ids[nid]) for k, nid in carries if lo + k != width]
             carry = ids[cout]

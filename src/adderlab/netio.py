@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidNetlist, ParseError, parse_int
-from .netlist import CellKind, Gate, Netlist, _sealed, input_names, topo_order
+from .netlist import CellKind, Netlist, _sealed, input_names, topo_order
 
 # ---------------------------------------------------------------------------
 # Native text format
@@ -30,9 +30,9 @@ def to_text(nl: Netlist) -> str:
     topo_order(nl)
     names = nl.nets
     lines = [f"width {nl.width}"]
-    for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):
-        ins = " ".join([names[nid] for nid in g.inputs])
-        lines.append(f"g{k} {g.kind.value} {ins} -> {out}")
+    for k, (kind, ins, out) in enumerate(zip(nl.kinds, nl.inputs, names[nl.offset :])):
+        ins = " ".join([names[nid] for nid in ins])
+        lines.append(f"g{k} {_NAMES[kind]} {ins} -> {out}")
     outs = [names[nid] for nid in nl.primary_outputs()]
     lines.append("outputs " + " ".join(outs))
     return "\n".join(lines) + "\n"
@@ -42,6 +42,7 @@ def to_text(nl: Netlist) -> str:
 # leading zero (a gate id is compared with g<k> as text)
 _WIDTH_RE = re.compile("^width (0|[1-9][0-9]*)$")
 _KINDS = {kind.value: kind for kind in CellKind}
+_NAMES = {kind: name for name, kind in _KINDS.items()}  # Enum's .value runs Python code per read
 
 
 def from_text(text: str) -> Netlist:
@@ -63,7 +64,7 @@ def from_text(text: str) -> Netlist:
         raise ParseError(f"width {width} needs {width + 3} lines or more, got {len(lines)}", line=1)
 
     by_name = {name: nid for nid, name in enumerate(input_names(width))}  # in id order
-    gates: list[Gate] = []
+    kinds, inputs = [], []  # gate k's CellKind and its tuple of input net ids
     for lineno, line in enumerate(lines[1:], start=2):
         gid = f"g{lineno - 2}"
         try:  # g<digits> <kind> <inputs> -> <output>, split on single spaces
@@ -94,7 +95,8 @@ def from_text(text: str) -> Netlist:
         if out_name in by_name:
             raise ParseError(f"net {out_name!r} already defined", line=lineno)
         by_name[out_name] = len(by_name)
-        gates.append(tuple.__new__(Gate, (kind, ids)))  # one C call, see NetlistBuilder.place
+        kinds.append(kind)
+        inputs.append(ids)
     else:
         raise ParseError("missing outputs line", line=len(lines) + 1)
 
@@ -106,7 +108,8 @@ def from_text(text: str) -> Netlist:
         raise ParseError(f"output net {tokens[outputs.index(None)]!r} is never driven", line=lineno)
     sums, cout, carries = outputs[:width], outputs[width], outputs[width + 1 :]
     try:
-        return _sealed(Netlist(width, tuple(by_name), tuple(gates), sums, cout, carries))
+        nl = Netlist(width, tuple(by_name), tuple(kinds), tuple(inputs), sums, cout, carries)
+        return _sealed(nl)
     except InvalidNetlist as exc:
         raise ParseError(str(exc)) from None
 
@@ -169,7 +172,7 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
     scalar_outs = ["cout"] + [names[nid] for nid in nl.carries]
     ports = ["a", "b", "cin", "sum"] + scalar_outs
     named = set(range(nl.offset)) | set(nl.primary_outputs())
-    taken = frozenset(ports).union(map("g{}".format, range(len(nl.gates))))
+    taken = frozenset(ports).union(map("g{}".format, range(len(nl.kinds))))
 
     lines = [f"module {module_name} ({', '.join(ports)});"]
     lines.append(f"  input [{w - 1}:0] a;")
@@ -183,8 +186,8 @@ def to_verilog(nl: Netlist, module_name: str = "adder") -> str:
             _check_name(name, "wire name", taken)
             lines.append(f"  wire {name};")
     lines.append("")
-    for k, (g, out) in enumerate(zip(nl.gates, names[nl.offset :])):
-        args = ", ".join([out] + [names[nid] for nid in g.inputs])
-        lines.append(f"  {g.kind.primitive} g{k} ({args});")
+    for k, (kind, ins, out) in enumerate(zip(nl.kinds, nl.inputs, names[nl.offset :])):
+        args = ", ".join([out] + [names[nid] for nid in ins])
+        lines.append(f"  {kind.primitive} g{k} ({args});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ import functools
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -86,23 +87,29 @@ class Violation:
 class Netlist:
     """A frozen gate-level adder netlist.
 
-    ``nets`` holds the net names and ``gates`` the gates; a net's or
-    gate's id is its position there. The primary inputs ``a``, ``b`` and
-    ``cin`` are the first ``offset`` nets (see :func:`input_layout`) and
-    gate k drives net ``offset + k``. ``sums``, ``cout`` and ``carries``
-    hold primary-output net ids. ``carries`` lists exposed lookahead
-    carries in ascending bit order (their names encode the global carry
-    index, c<k> = carry into bit k).
+    ``nets`` holds the net names; gate k is ``kinds[k]`` reading net ids ``inputs[k]``.
+    The primary inputs ``a``, ``b`` and ``cin`` are the first ``offset`` nets (see
+    :func:`input_layout`) and gate k drives net ``offset + k``. ``sums``, ``cout``
+    and ``carries`` hold primary-output net ids. ``carries`` lists exposed lookahead
+    carries in ascending bit order (their names encode the global carry index,
+    c<k> = carry into bit k).
     """
 
     width: int
     nets: tuple[str, ...]
-    gates: tuple[Gate, ...]
+    kinds: tuple[CellKind, ...]
+    inputs: tuple[tuple[int, ...], ...]
     sums: tuple[int, ...]
     cout: int
     carries: tuple[int, ...] = ()
 
     # -- derived views -----------------------------------------------------
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """Gate k as ``Gate(kinds[k], inputs[k])``, built in C on each call: kept, a Gate
+        holds a CellKind and stays tracked by the collector; a tuple of ints does not."""
+        return tuple(map(tuple.__new__, repeat(Gate), zip(self.kinds, self.inputs)))
 
     @property
     def offset(self) -> int:
@@ -157,37 +164,35 @@ class NetlistBuilder:
             raise InvalidWidth(f"adder width must be a positive integer, got {width!r}")
         self.width = int(width)
         self.a, self.b, self.cin = input_layout(self.width)
-        self._gates: list[Gate] = []
+        self.kinds, self.inputs = [], []  # the gate columns, as Netlist holds them
 
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(self._gates)
+    gates = Netlist.gates  # the same view of the columns built so far
 
     def add_gate(self, kind: CellKind, inputs: list[int] | tuple[int, ...]) -> int:
         """Append a gate reading ``inputs``, return its fresh output net id."""
         n = len(inputs)
         if n != kind.arity:
             raise ArityMismatch(f"{kind.value} takes {kind.arity} inputs, got {n}")
-        return self.place(((kind, 0, n),), range(n), inputs)[-1]
+        return self.place((kind,), ((0, n),), range(n), inputs)[-1]
 
     def place(
         self,
-        spans: tuple[tuple[CellKind, int, int], ...],
+        kinds: Sequence[CellKind],
+        spans: Sequence[tuple[int, int]],
         reads: Sequence[int],
         inputs: list[int] | tuple[int, ...],
     ) -> list[int]:
-        """Append one gate per (kind, start, stop) span, reading local net ids
-        ``reads[start:stop]`` (id i < len(inputs) is net ``inputs[i]``, then
-        span j's gate drives the next free net); return the global id of every
-        local id. :func:`flatten` puts gates in this shape."""
-        nnets = 2 * self.width + 1 + len(self._gates)
+        """Append gate j of kind ``kinds[j]`` reading local ids ``reads[start:stop]`` of span
+        ``spans[j]``: id i < len(inputs) is net ``inputs[i]``, then gate j drives the next free
+        net. Return the global id of every local id; :func:`flatten` gives gates this shape."""
+        nnets = 2 * self.width + 1 + len(self.kinds)
         if min(inputs) < 0 or max(inputs) >= nnets:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
             raise DanglingInput(f"no net with id {bad}")
-        ids = [*inputs, *range(nnets, nnets + len(spans))]
+        ids = [*inputs, *range(nnets, nnets + len(kinds))]
         flat = tuple([ids[i] for i in reads])
-        # tuple.__new__ skips the generated Python __new__: one C call per gate
-        self._gates += [tuple.__new__(Gate, (k, flat[at:stop])) for k, at, stop in spans]
+        self.kinds += kinds
+        self.inputs += [flat[at:stop] for at, stop in spans]
         return ids
 
     def finish(
@@ -204,26 +209,27 @@ class NetlistBuilder:
         refuses a c<k> outside 1..width-1 or given twice as an OutputName.
         """
         carries = tuple(sorted(carries))
-        nets = [*input_names(self.width), *[f"n{k}" for k in range(len(self._gates))]]
+        nets = [*input_names(self.width), *[f"n{k}" for k in range(len(self.kinds))]]
         named = [(nid, f"sum[{i}]") for i, nid in enumerate(sums)] + [(cout, "cout")]
         named += [(nid, f"c{k}") for k, nid in carries]
         for nid, name in named:  # the last name given to a net wins
             if 0 <= nid < len(nets):
                 nets[nid] = name
-        gates, exposed = tuple(self._gates), tuple(nid for _, nid in carries)
-        return _sealed(Netlist(self.width, tuple(nets), gates, tuple(sums), cout, exposed))
+        kinds, inputs = tuple(self.kinds), tuple(self.inputs)
+        exposed = tuple(nid for _, nid in carries)
+        return _sealed(Netlist(self.width, tuple(nets), kinds, inputs, tuple(sums), cout, exposed))
 
 
 def flatten(
     gates: Sequence[Gate],
-) -> tuple[tuple[tuple[CellKind, int, int], ...], tuple[int, ...]]:
-    """Gates in the shape :meth:`NetlistBuilder.place` takes: one
-    (kind, start, stop) span per gate into one flat tuple of all their reads."""
+) -> tuple[tuple[CellKind, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Gates in the shape :meth:`NetlistBuilder.place` takes: their kinds,
+    and one (start, stop) span per gate into one flat tuple of all their reads."""
     spans, reads = [], []
-    for kind, ins in gates:
-        spans.append((kind, len(reads), len(reads) + len(ins)))
+    for _, ins in gates:
+        spans.append((len(reads), len(reads) + len(ins)))
         reads += ins
-    return tuple(spans), tuple(reads)
+    return tuple([kind for kind, _ in gates]), tuple(spans), tuple(reads)
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +240,22 @@ def flatten(
 def validate(nl: Netlist) -> list[Violation]:
     """Return all structural violations (empty list means the netlist is ok).
 
-    The one rulebook: ``validate(nl) == []`` exactly when ``nl`` reads
-    back from ``to_text(nl)`` as itself. Checks: a width of 1 or more
-    (else only Width), one net per primary input and gate (else only
-    NetCount), port ids inside the net table (else only a DanglingPort per
-    bad port), one sum per bit, arity, dangling gate inputs, primary
-    outputs driven by gates and distinct, the names (``_misnamed``), no
-    dangling gate outputs, and last the gate order: the first read, in
-    list order, of a gate's own net or a later gate's (every cycle holds
-    such a read).
+    The one rulebook: ``validate(nl) == []`` exactly when ``nl`` reads back from
+    ``to_text(nl)`` as itself. Checks: a width of 1 or more (else only Width), one input
+    tuple per kind (else only GateCount), one net per primary input and gate (else only
+    NetCount), port ids inside the net table (else only a DanglingPort per bad port),
+    one sum per bit, arity, dangling gate inputs, primary outputs driven by gates and
+    distinct, the names (``_misnamed``), no dangling gate outputs, and last the gate
+    order: the first read, in list order, of a gate's own net or a later gate's (every
+    cycle holds such a read).
     """
     if nl.width < 1:
         return [Violation("Width", f"{nl.width} is below 1")]
-    nnets, off = len(nl.nets), nl.offset
-    if nnets != off + len(nl.gates):
-        subject = f"{nnets} nets for {len(nl.gates)} gates at width {nl.width}"
-        return [Violation("NetCount", subject)]
+    nnets, off, ngates = len(nl.nets), nl.offset, len(nl.kinds)
+    if len(nl.inputs) != ngates:  # else zip would drop gates unseen
+        return [Violation("GateCount", f"{ngates} kinds, {len(nl.inputs)} input tuples")]
+    if nnets != off + ngates:
+        return [Violation("NetCount", f"{nnets} nets for {ngates} gates at width {nl.width}")]
     bad = [(f"sum[{i}]", nid) for i, nid in enumerate(nl.sums) if not 0 <= nid < nnets]
     bad += [(f"carries[{i}]", nid) for i, nid in enumerate(nl.carries) if not 0 <= nid < nnets]
     if not 0 <= nl.cout < nnets:
@@ -260,19 +266,18 @@ def validate(nl: Netlist) -> list[Violation]:
     if len(nl.sums) != nl.width:
         out.append(Violation("SumCount", f"{len(nl.sums)} of {nl.width}"))
     read = bytearray(nnets)
-    for k, g in enumerate(nl.gates):
-        ins, own = g.inputs, off + k  # gate k drives net own
-        if len(ins) != g.kind.arity:
-            out.append(Violation("ArityMismatch", f"g{k} {g.kind.value}"))
+    for own, kind, ins in zip(range(off, nnets), nl.kinds, nl.inputs):  # g<own - off> drives own
+        if len(ins) != kind.arity:
+            out.append(Violation("ArityMismatch", f"g{own - off} {kind.value}"))
         for nid in ins:
             if 0 <= nid < own:
                 read[nid] = 1
             elif own <= nid < nnets:
                 read[nid] = 1
                 if order is None:
-                    order = Violation("GateOrder", f"g{k} reads net {nid}")
+                    order = Violation("GateOrder", f"g{own - off} reads net {nid}")
             else:
-                out.append(Violation("DanglingInput", f"g{k} reads net {nid}"))
+                out.append(Violation("DanglingInput", f"g{own - off} reads net {nid}"))
 
     outs = nl.primary_outputs()
     for nid in outs:

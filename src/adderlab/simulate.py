@@ -237,22 +237,23 @@ def _eval_packed(nl: Netlist, cols: Sequence[int], nrows: int) -> list[int]:
     columns in net-id order, gates in list order (the caller checks that
     order with ``topo_order``); returns one int per net in a new list."""
     mask = (1 << nrows) - 1
-    values = [*cols] + [0] * len(nl.gates)
-    for net, g in enumerate(nl.gates, nl.offset):
-        op = g.kind.primitive
+    values = [*cols]  # gate k's column is appended as net offset + k
+    append = values.append
+    for kind, ins in zip(nl.kinds, nl.inputs):
+        op = kind.primitive
         if op == "xor":
-            out = values[g.inputs[0]] ^ values[g.inputs[1]]
+            out = values[ins[0]] ^ values[ins[1]]
         elif op == "and":
-            out = values[g.inputs[0]]
-            for nid in g.inputs[1:]:
+            out = values[ins[0]]
+            for nid in ins[1:]:
                 out &= values[nid]
         elif op == "or":
-            out = values[g.inputs[0]]
-            for nid in g.inputs[1:]:
+            out = values[ins[0]]
+            for nid in ins[1:]:
                 out |= values[nid]
         else:  # "not"
-            out = mask ^ values[g.inputs[0]]
-        values[net] = out
+            out = mask ^ values[ins[0]]
+        append(out)
     return values
 
 

@@ -54,13 +54,19 @@ FLIP = {
 }
 
 
+def gate_columns(gates: list[Gate] | tuple[Gate, ...]) -> dict[str, tuple]:
+    """Gate records as the two Netlist fields that hold them, to pass as
+    ``Netlist(..., **gate_columns(gates))`` or
+    ``dataclasses.replace(nl, **gate_columns(gates))``."""
+    return {"kinds": tuple(g.kind for g in gates), "inputs": tuple(g.inputs for g in gates)}
+
+
 def flippable_gates(nl: Netlist) -> list[int]:
-    return [k for k, g in enumerate(nl.gates) if g.kind in FLIP]
+    return [k for k, kind in enumerate(nl.kinds) if kind in FLIP]
 
 
 def flip_gate_kind(nl: Netlist, gate_id: int) -> Netlist:
     """Return a copy of ``nl`` with one gate's kind swapped per FLIP."""
-    gates = list(nl.gates)
-    g = gates[gate_id]
-    gates[gate_id] = Gate(FLIP[g.kind], g.inputs)
-    return dataclasses.replace(nl, gates=tuple(gates))
+    kinds = list(nl.kinds)
+    kinds[gate_id] = FLIP[kinds[gate_id]]
+    return dataclasses.replace(nl, kinds=tuple(kinds))

@@ -42,7 +42,7 @@ from adderlab import (
 from adderlab.analyze import Improvement
 from adderlab.errors import DanglingInput, InvalidMetric, InvalidNetlist, NothingToCompare
 
-from conftest import TABLE1_ROWS, random_arch_string
+from conftest import TABLE1_ROWS, gate_columns, random_arch_string
 
 LIB = default_library()
 
@@ -111,7 +111,7 @@ def test_critical_path_refuses_a_netlist_without_gates():
     nl = Netlist(
         width=1,
         nets=("a[0]", "b[0]", "cin"),
-        gates=(),
+        **gate_columns(()),
         sums=(0,),
         cout=1,
     )
@@ -126,7 +126,7 @@ def test_critical_path_refuses_a_netlist_without_gates():
 
 
 def test_critical_path_checks_the_net_table_without_gates():
-    nl = Netlist(width=1, nets=("x",), gates=(), sums=(0,), cout=0)
+    nl = Netlist(width=1, nets=("x",), **gate_columns(()), sums=(0,), cout=0)
     with pytest.raises(InvalidNetlist, match=r"^NetCount\(1 nets for 0 gates at width 1\)$"):
         critical_path(nl, LIB)
 
@@ -134,7 +134,8 @@ def test_critical_path_checks_the_net_table_without_gates():
 def _one_inverter(sum0, cout):
     # nets 0-2 are a[0], b[0] and cin; net 3 is driven by the INV of a[0]
     nets = ("a[0]", "b[0]", "cin", "n3")
-    return Netlist(width=1, nets=nets, gates=(Gate(CellKind.INV, (0,)),), sums=(sum0,), cout=cout)
+    gates = gate_columns([Gate(CellKind.INV, (0,))])
+    return Netlist(width=1, nets=nets, **gates, sums=(sum0,), cout=cout)
 
 
 def test_critical_path_refuses_outputs_on_primary_inputs():
@@ -149,7 +150,7 @@ def test_critical_path_of_a_lone_inverter():
     # the INV of a[0] on net 3, cout the INV of b[0] on net 4; the tie goes to g0
     nets = ("a[0]", "b[0]", "cin", "sum[0]", "cout")
     gates = (Gate(CellKind.INV, (0,)), Gate(CellKind.INV, (1,)))
-    nl = Netlist(width=1, nets=nets, gates=gates, sums=(3,), cout=4)
+    nl = Netlist(width=1, nets=nets, **gate_columns(gates), sums=(3,), cout=4)
     inv = LIB.cells[CellKind.INV]
     delay, path = critical_path(nl, LIB)
     assert delay == inv.intrinsic_delay_ns + inv.load_delay_ns_per_ff * LIB.output_load_ff
@@ -424,6 +425,20 @@ def test_report_json_schema():
     assert doc["gates"] == 10
     assert isinstance(doc["critical_path"], list)
     assert report_json(report).endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        AnalysisReport('x,\xe9"', "rca:1", 5, 1.5, 0.25, 3.0, 4.0, ()),
+        AnalysisReport("y\n\x00", "", 0, math.nan, math.inf, -0.0, 1e300, (7,)),
+        AnalysisReport("z", "rca:2", 10, 1e-9, 2.0, 3.0, 4.0, (0, 3, 8, 9)),
+    ],
+    ids=["empty-path", "odd-values", "path"],
+)
+def test_report_json_is_json_dumps_with_indent_2(report):
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    assert report_json(report) == json.dumps(doc, indent=2) + "\n"
 
 
 def _presets_digest(**kwargs):

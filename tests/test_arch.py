@@ -1,5 +1,6 @@
 """Architecture string parsing and the named presets."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +82,20 @@ def test_rca_allows_width_one_but_lookahead_does_not():
         with pytest.raises(InvalidBlockWidth):
             parse_arch_spec(f"{kind}:1")
         assert parse_arch_spec(f"{kind}:2").total_width == 2
+
+
+def test_numpy_block_widths_are_stored_as_int():
+    # np.uint8 widths would add up to 300 % 256 in total_width
+    wide = ArchitectureSpec(tuple(BlockSpec(BlockKind.RCA, np.uint8(w)) for w in (200, 100)))
+    same = ArchitectureSpec(tuple(BlockSpec(BlockKind.RCA, w) for w in (200, 100)))
+    assert type(wide.blocks[0].width) is int and wide.total_width == 300 and wide == same
+    assert compose(wide) == compose(same)
+
+
+@pytest.mark.parametrize("width", [4.0, "4", None, np.float64(4)])
+def test_a_block_width_that_is_no_integer_is_refused_by_name(width):
+    with pytest.raises(InvalidBlockWidth, match="^block width must be an integer, got "):
+        BlockSpec(BlockKind.RCA, width)
 
 
 def test_spec_needs_at_least_one_block():

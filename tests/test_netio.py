@@ -26,7 +26,7 @@ from adderlab import (
 from adderlab.errors import InvalidNetlist, InvalidWidth, ParseError
 from adderlab.netlist import input_names
 
-from conftest import ODD_NAMES, random_arch_string
+from conftest import ODD_NAMES, gate_columns, random_arch_string
 
 FULL_ADDER_TEXT = (
     "width 1\n"
@@ -338,13 +338,18 @@ def _text_unguarded(nl):
 @st.composite
 def renamed_netlists(draw):
     """A small built netlist with one to three nets, inputs too, renamed: to
-    a name of ODD_NAMES, to another net's name or to a short drawn text."""
+    a name of ODD_NAMES, to another net's name or to a short drawn text; and
+    sometimes one gate column a gate short or long, which ``zip`` would not show."""
     nl = compose(draw(st.sampled_from(["rca:1", "rca:2", "ccla:2", "scbcla:3", "rca:1,ccla:2"])))
     nets = list(nl.nets)
     names = st.sampled_from(ODD_NAMES + nets) | st.text(" \t\n\r\x85\xa0->[]acnosu01", max_size=3)
     for _ in range(draw(st.integers(1, 3))):
         nets[draw(st.integers(0, len(nets) - 1))] = draw(names)
-    return dataclasses.replace(nl, nets=tuple(nets))
+    columns = {}
+    if column := draw(st.sampled_from([None, "kinds", "inputs"])):
+        cells = getattr(nl, column)
+        columns[column] = draw(st.sampled_from([cells[:-1], cells + cells[-1:]]))
+    return dataclasses.replace(nl, nets=tuple(nets), **columns)
 
 
 @settings(max_examples=400, deadline=None)
@@ -519,7 +524,7 @@ def read_verilog(text):
     return Netlist(
         width=width,
         nets=tuple(by_name),
-        gates=tuple(gates),
+        **gate_columns(gates),
         sums=tuple(by_name[f"sum[{i}]"] for i in range(width)),
         cout=by_name[scalar_outs[0]],
         carries=tuple(by_name[name] for name in scalar_outs[1:]),
