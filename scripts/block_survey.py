@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         full = compose(f"ccla:{m}")
         sect = compose(f"scbcla:{m}")
         a_full, a_sect = area(full, lib), area(sect, lib)
-        g_full, g_sect = len(full.gates), len(sect.gates)
+        g_full, g_sect = len(full.kinds), len(sect.kinds)
         c_full = template(BlockKind.CCLA, m).regions.count(CONE)
         c_sect = template(BlockKind.SCBCLA, m).regions.count(CONE)
         print(

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .arch import ArchitectureSpec, BlockKind, BlockSpec, coerce_arch
 from .errors import InvalidBlockWidth
-from .netlist import CellKind, Netlist, NetlistBuilder, flatten
+from .netlist import CellKind, Netlist, NetlistBuilder
 
 # ---------------------------------------------------------------------------
 # Small result records
@@ -238,10 +238,10 @@ PG, CONE, RIPPLE, SUM = range(4)  # the region tags of template gates
 
 
 class Template(NamedTuple):
-    """A width-m section as ``compose`` places it: its gates as ``flatten`` gives them,
-    its outputs in local net ids (input i is id i, gate j drives id 2m+1+j), and
-    ``regions``, a tag per gate: PG if it reads only a/b inputs, else SUM if it
-    drives a sum, else CONE if a lookahead carry depends on it, else RIPPLE."""
+    """A width-m section as ``compose`` places it, in local net ids (input i is id i, gate j
+    drives id 2m+1+j): gate j is ``kinds[j]`` reading ``reads[start:stop]`` for its ``spans[j]``,
+    then its outputs, and ``regions``, a tag per gate: PG if it reads only a/b inputs, else
+    SUM if it drives a sum, else CONE if a lookahead carry depends on it, else RIPPLE."""
 
     kinds: tuple[CellKind, ...]
     spans: tuple[tuple[int, int], ...]
@@ -278,7 +278,12 @@ def template(kind: BlockKind, m: int) -> Template:
     if t is None:
         b = NetlistBuilder(m)
         r = _GENERATORS[kind](b, b.a, b.b, b.cin)
-        t = Template(*flatten(b.gates), r.sums, r.cout, r.carries, _regions(m, b.inputs, r))
+        spans, reads = [], []
+        for ins in b.inputs:
+            spans.append((len(reads), len(reads) + len(ins)))
+            reads += ins
+        flat = tuple(b.kinds), tuple(spans), tuple(reads)
+        t = Template(*flat, r.sums, r.cout, r.carries, _regions(m, b.inputs, r))
         _TEMPLATES[kind, m] = t
     return t
 

@@ -166,8 +166,6 @@ class NetlistBuilder:
         self.a, self.b, self.cin = input_layout(self.width)
         self.kinds, self.inputs = [], []  # the gate columns, as Netlist holds them
 
-    gates = Netlist.gates  # the same view of the columns built so far
-
     def add_gate(self, kind: CellKind, inputs: list[int] | tuple[int, ...]) -> int:
         """Append a gate reading ``inputs``, return its fresh output net id."""
         n = len(inputs)
@@ -184,7 +182,7 @@ class NetlistBuilder:
     ) -> list[int]:
         """Append gate j of kind ``kinds[j]`` reading local ids ``reads[start:stop]`` of span
         ``spans[j]``: id i < len(inputs) is net ``inputs[i]``, then gate j drives the next free
-        net. Return the global id of every local id; :func:`flatten` gives gates this shape."""
+        net. Return the global id of every local id; a ``generate.Template`` has this shape."""
         nnets = 2 * self.width + 1 + len(self.kinds)
         if min(inputs) < 0 or max(inputs) >= nnets:
             bad = next(nid for nid in inputs if not 0 <= nid < nnets)
@@ -218,18 +216,6 @@ class NetlistBuilder:
         kinds, inputs = tuple(self.kinds), tuple(self.inputs)
         exposed = tuple(nid for _, nid in carries)
         return _sealed(Netlist(self.width, tuple(nets), kinds, inputs, tuple(sums), cout, exposed))
-
-
-def flatten(
-    gates: Sequence[Gate],
-) -> tuple[tuple[CellKind, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Gates in the shape :meth:`NetlistBuilder.place` takes: their kinds,
-    and one (start, stop) span per gate into one flat tuple of all their reads."""
-    spans, reads = [], []
-    for _, ins in gates:
-        spans.append((len(reads), len(reads) + len(ins)))
-        reads += ins
-    return tuple([kind for kind, _ in gates]), tuple(spans), tuple(reads)
 
 
 # ---------------------------------------------------------------------------

@@ -312,10 +312,12 @@ def collect_toggles(nl: Netlist, vectors: list[InputVector]) -> ToggleStats:
             toggles = [((col ^ (col >> 1)) & inner).bit_count() for col in values]
         else:  # plus the step from the last row of the batch before
             toggles = [
-                t + ((col ^ (col >> 1)) & inner).bit_count() + (((last >> top) ^ col) & 1)
-                for t, col, last in zip(toggles, values, prev)
+                t + ((col ^ (col >> 1)) & inner).bit_count() + ((last ^ col) & 1)
+                for t, col, last in zip(toggles, values, last_row)
             ]
-        prev, top = values, n - 1
+        if n == _BATCH:  # a shorter batch is the last one
+            last_row = [col >> (n - 1) for col in values]
+        del values  # so one batch's net values are alive at a time
     return ToggleStats(per_net_toggles=tuple(toggles), vectors_applied=len(vectors))
 
 

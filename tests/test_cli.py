@@ -359,6 +359,35 @@ def test_a_huge_preset_range_stops_at_its_first_unknown_name():
     assert "Traceback" not in done.stderr
 
 
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from adderlab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "design1", "--vectors", "1000000000000"],
+        ["compare", "--presets", "design1,design2", "--vectors", "100000000000"],
+    ],
+    ids=["analyze", "compare"],
+)
+def test_a_vector_count_no_memory_holds_is_a_named_error(argv):
+    # in a child capped at 1 GiB of address space, so the stream's words
+    # cannot be allocated here even where the host overcommits memory
+    path = [str(Path(adderlab.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: MemoryError: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_compare_preset_range_expansion(capsys):
     code = main(["compare", "--presets", "design3..design4", "--vectors", "64"])
     assert code == 0

@@ -216,7 +216,7 @@ def test_generators_reject_unequal_slices_and_carry_index_zero():
     b = NetlistBuilder(2)
     with pytest.raises(InvalidBlockWidth, match="^a and b slices must have equal length$"):
         gen_rca_block(b, b.a, b.b[:1], b.cin)
-    assert len(b.gates) == 0
+    assert len(b.kinds) == 0
     with pytest.raises(ValueError, match="^carry index must be >= 1$"):
         carry_terms(0)
 
@@ -375,5 +375,5 @@ def test_template_cache_stays_small_and_immutable(monkeypatch):
             if blk.kind is not BlockKind.RCA:
                 b = NetlistBuilder(blk.width)
                 GENERATORS[blk.kind](b, b.a, b.b, b.cin)
-                widest = max(widest, len(b.gates))
+                widest = max(widest, len(b.kinds))
     assert max(len(gates) for gates, *_ in cache.values()) <= widest

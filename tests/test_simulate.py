@@ -5,6 +5,7 @@ import gc
 import io
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,27 @@ def test_collect_toggles_across_batch_seams(monkeypatch):
         vectors = random_vectors(2, count, seed=4)
         stats = collect_toggles(nl, vectors)
         assert stats.per_net_toggles == naive_toggles(nl, vectors), count
+
+
+def test_collect_toggles_holds_one_batch_of_net_values(monkeypatch):
+    # four batches peak about as high as one: only the last row of a batch outlives it
+    nl = compose("rca:1024")
+    # new objects, so they go through the caller path and not as one kept stream
+    vectors = [InputVector(*v) for v in random_vectors(1024, 4 * 4096, seed=2)]
+    whole = collect_toggles(nl, vectors)
+    monkeypatch.setattr(simulate, "_BATCH", 4096)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for stream in (vectors[:4096], vectors):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            stats = collect_toggles(nl, stream)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert stats == whole
+    assert peaks[1] < 1.3 * peaks[0], peaks
 
 
 def test_alternating_inputs_toggle_every_cycle():
